@@ -44,7 +44,7 @@ laneCompatibilityKey(const SimulationConfig &config,
     key = key * 1099511628211ULL ^ thermal_key;
     key = key * 1099511628211ULL ^
           static_cast<std::uint64_t>(horizon_minutes);
-    return key | 1;
+    return key;
 }
 
 LaneBatchRunner::LaneBatchRunner(LaneBatchOptions options)
@@ -106,7 +106,7 @@ LaneBatchRunner::formGroups()
 
         // Workload sharing arms only when every lane is provably running
         // the same benign workload (equal nonzero fingerprints).
-        if (options_.shareBenignWorkload && group.lanes.size() >= 2) {
+        if (group.lanes.size() >= 2) {
             const std::uint64_t fp =
                 lanes_[group.lanes.front()].sim->workloadFingerprint_;
             bool all_equal = fp != 0;
@@ -127,46 +127,38 @@ LaneBatchRunner::formGroups()
         // Bank adoption: at least two streaming-compatible lanes make
         // the SoA arena worth its gather/scatter; the rest run their own
         // scalar thermal step (masked divergence, not an error).
-        if (options_.useThermalBank) {
-            const thermal::MatrixThermalModel *reference = nullptr;
-            std::size_t reference_lane = 0;
-            std::size_t compatible = 0;
+        const thermal::MatrixThermalModel *reference = nullptr;
+        std::size_t reference_lane = 0;
+        std::size_t compatible = 0;
+        for (std::size_t lid : group.lanes) {
+            const auto &model =
+                lanes_[lid].sim->thermalEnvironment().matrixModel();
+            if (reference == nullptr) {
+                if (model.activeKernel() == thermal::KernelMode::Streaming) {
+                    reference = &model;
+                    reference_lane = lid;
+                    ++compatible;
+                }
+            } else if (model.streamingStateCompatible(*reference)) {
+                ++compatible;
+            }
+        }
+        if (reference != nullptr && compatible >= 2) {
+            group.bankActive = true;
+            group.bankReference = reference_lane;
+            group.bank.configure(*reference);
+            int slot = 0;
             for (std::size_t lid : group.lanes) {
                 const auto &model =
                     lanes_[lid].sim->thermalEnvironment().matrixModel();
-                if (reference == nullptr) {
-                    if (model.activeKernel() ==
-                        thermal::KernelMode::Streaming) {
-                        reference = &model;
-                        reference_lane = lid;
-                        ++compatible;
-                    }
-                } else if (model.streamingStateCompatible(*reference)) {
-                    ++compatible;
-                }
-            }
-            if (reference != nullptr && compatible >= 2) {
-                group.bankActive = true;
-                group.bankReference = reference_lane;
-                group.bank.configure(*reference);
-                int slot = 0;
-                for (std::size_t lid : group.lanes) {
-                    const auto &model = lanes_[lid]
-                                            .sim->thermalEnvironment()
-                                            .matrixModel();
-                    if (lid == reference_lane ||
-                        model.streamingStateCompatible(*reference)) {
-                        lanes_[lid].bankSlot = slot++;
-                        ++stats_.bankedLanes;
-                    } else {
-                        lanes_[lid].bankSlot = -1;
-                        ++stats_.scalarFallbackLanes;
-                    }
-                }
-            } else {
-                for (std::size_t lid : group.lanes)
+                if (lid == reference_lane ||
+                    model.streamingStateCompatible(*reference)) {
+                    lanes_[lid].bankSlot = slot++;
+                    ++stats_.bankedLanes;
+                } else {
                     lanes_[lid].bankSlot = -1;
-                stats_.scalarFallbackLanes += group.lanes.size();
+                    ++stats_.scalarFallbackLanes;
+                }
             }
         } else {
             for (std::size_t lid : group.lanes)

@@ -57,7 +57,6 @@ namespace ecolo::core {
  * count, the thermal key (factorization key x kernel mode), and the
  * horizon; equal keys are exactly the requests LaneBatchRunner would
  * pack into one group when added at now() == 0 with this horizon.
- * Never returns zero (zero is the scheduler's "not batchable").
  */
 std::uint64_t laneCompatibilityKey(const SimulationConfig &config,
                                    MinuteIndex horizon_minutes);
@@ -67,10 +66,6 @@ struct LaneBatchOptions
     /** Lanes packed per group, clamped to [1, LaneThermalBank::kLanes].
      * Fleet drivers shrink this so groups still saturate the pool. */
     std::size_t lanesPerGroup = thermal::LaneThermalBank::kLanes;
-    /** Let fingerprint-equal lanes share the benign workload phase. */
-    bool shareBenignWorkload = true;
-    /** Advance streaming-compatible lanes through a LaneThermalBank. */
-    bool useThermalBank = true;
 };
 
 class LaneBatchRunner

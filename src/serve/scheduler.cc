@@ -1,7 +1,6 @@
 #include "serve/scheduler.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <exception>
 #include <utility>
 
@@ -36,7 +35,7 @@ Scheduler::LaneQueue::pop()
     return job;
 }
 
-Scheduler::Scheduler(Options options)
+Scheduler::Scheduler(Options options, BatchFn executor)
     : options_([&] {
           Options o = std::move(options);
           if (o.numWorkers == 0)
@@ -47,14 +46,20 @@ Scheduler::Scheduler(Options options)
               o.batchMaxLanes = 1;
           return o;
       }()),
+      executor_(std::move(executor)),
       pool_(options_.numWorkers)
 {}
 
 Scheduler::~Scheduler() { drain(false); }
 
 Scheduler::SubmitResult
-Scheduler::submitLocked(const std::string &client_id, Job entry)
+Scheduler::submit(std::uint64_t id, Lane lane,
+                  const std::string &client_id, std::uint64_t batch_key,
+                  std::shared_ptr<void> payload,
+                  std::optional<std::chrono::steady_clock::time_point>
+                      deadline)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.submitted;
     const std::size_t queued = lanes_[0].size + lanes_[1].size;
     if (draining_) {
@@ -65,48 +70,21 @@ Scheduler::submitLocked(const std::string &client_id, Job entry)
         ++stats_.rejectedQueueFull;
         return {Admission::QueueFull, queued};
     }
-    entry.enqueued = std::chrono::steady_clock::now();
-    liveTokens_.emplace(entry.id, entry.token);
-    lanes_[static_cast<int>(entry.lane)].push(client_id,
-                                              std::move(entry));
-    ++stats_.admitted;
-    // notify_all, not notify_one: a worker holding a batching window
-    // open also waits on this condvar, and it must not swallow the
-    // only wakeup meant for an idle worker (or vice versa).
-    workAvailable_.notify_all();
-    return {Admission::Admitted, queued + 1};
-}
-
-Scheduler::SubmitResult
-Scheduler::submit(std::uint64_t id, Lane lane,
-                  const std::string &client_id, JobFn job,
-                  std::optional<std::chrono::steady_clock::time_point>
-                      deadline)
-{
-    Job entry;
-    entry.id = id;
-    entry.lane = lane;
-    entry.fn = std::move(job);
-    entry.deadline = deadline;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return submitLocked(client_id, std::move(entry));
-}
-
-Scheduler::SubmitResult
-Scheduler::submitBatchable(
-    std::uint64_t id, Lane lane, const std::string &client_id,
-    std::uint64_t batch_key, std::shared_ptr<void> payload,
-    std::optional<std::chrono::steady_clock::time_point> deadline)
-{
-    assert(options_.batchExecutor && batch_key != 0);
     Job entry;
     entry.id = id;
     entry.lane = lane;
     entry.batchKey = batch_key;
     entry.payload = std::move(payload);
     entry.deadline = deadline;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return submitLocked(client_id, std::move(entry));
+    entry.enqueued = std::chrono::steady_clock::now();
+    liveTokens_.emplace(id, entry.token);
+    lanes_[static_cast<int>(lane)].push(client_id, std::move(entry));
+    ++stats_.admitted;
+    // notify_all, not notify_one: a worker holding a batching window
+    // open also waits on this condvar, and it must not swallow the
+    // only wakeup meant for an idle worker (or vice versa).
+    workAvailable_.notify_all();
+    return {Admission::Admitted, queued + 1};
 }
 
 bool
@@ -208,11 +186,10 @@ Scheduler::gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
     const std::size_t max_peers = options_.batchMaxLanes - 1;
     collectPeersLocked(seed.batchKey, max_peers, peers);
 
-    const bool bypass = seed.lane == Lane::Interactive &&
-                        options_.batchWindowInteractiveBypass;
+    // Interactive seeds dispatch immediately, never holding the window.
     double waited_us = 0.0;
-    if (options_.batchWindow.count() > 0 && !bypass && !draining_ &&
-        peers.size() < max_peers) {
+    if (options_.batchWindow.count() > 0 && seed.lane == Lane::Batch &&
+        !draining_ && peers.size() < max_peers) {
         ++stats_.batchWindowWaits;
         const auto opened = std::chrono::steady_clock::now();
         const auto closes = opened + options_.batchWindow;
@@ -263,37 +240,25 @@ Scheduler::workerLoop()
                 continue;
             }
             noteDispatchLocked(job);
-            if (job.batchKey != 0 && options_.batchExecutor)
-                gatherBatchLocked(job, peers, lock);
+            gatherBatchLocked(job, peers, lock);
             stats_.runningNow += 1 + peers.size();
         }
 
-        if (job.batchKey != 0 && options_.batchExecutor) {
-            items.reserve(1 + peers.size());
-            items.push_back(
-                {job.id, job.lane, job.token, std::move(job.payload)});
-            for (Job &peer : peers)
-                items.push_back({peer.id, peer.lane, peer.token,
-                                 std::move(peer.payload)});
+        items.reserve(1 + peers.size());
+        items.push_back(
+            {job.id, job.lane, job.token, std::move(job.payload)});
+        for (Job &peer : peers)
+            items.push_back({peer.id, peer.lane, peer.token,
+                             std::move(peer.payload)});
+        {
             telemetry::TraceSpan span("serve.batch");
             try {
-                options_.batchExecutor(items);
+                executor_(items);
             } catch (const std::exception &e) {
                 ecolo::warn("serve: batch of ", items.size(),
                             " failed with exception: ", e.what());
             } catch (...) {
                 ecolo::warn("serve: batch of ", items.size(),
-                            " failed with unknown exception");
-            }
-        } else {
-            telemetry::TraceSpan span("serve.request");
-            try {
-                job.fn(job.token);
-            } catch (const std::exception &e) {
-                ecolo::warn("serve: request ", job.id,
-                            " failed with exception: ", e.what());
-            } catch (...) {
-                ecolo::warn("serve: request ", job.id,
                             " failed with unknown exception");
             }
         }

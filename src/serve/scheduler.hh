@@ -20,25 +20,26 @@
  *   returns QueueFull and the server translates that into RETRY_AFTER
  *   backpressure instead of buffering unboundedly.
  * - Cancellation is cooperative: every job carries a CancelToken that
- *   the job's body (ultimately Simulation's per-minute cancel check)
+ *   the executor (ultimately Simulation's per-minute cancel check)
  *   polls. Cancelling a queued job does not unqueue it -- the job is
  *   dispatched and observes its token immediately, so the completion
  *   path (responding CANCELLED to the waiting client) always runs and
  *   no pool task is ever leaked.
- * - Cross-request micro-batching. A job submitted with a nonzero
- *   batch key (the lane-compatibility key: same formation rule as
- *   core::LaneBatchRunner group packing) is dispatched through the
- *   configured BatchFn executor instead of its own JobFn. When a
- *   worker pops such a job it first sweeps the queues for every other
- *   job with the same key (up to batchMaxLanes total), then -- batch
- *   lane only, unless bypass is disabled -- waits up to batchWindow
- *   for more compatible arrivals before dispatching the whole set as
- *   one executor call. The executor packs the members into one SoA
- *   LaneThermalBank pass and fans per-lane results back per request.
- *   Client fairness is unchanged for scalar jobs; a swept batch
- *   member may run ahead of its own client's earlier non-matching
- *   jobs (batching trades strict per-client FIFO order within a
- *   client for lane occupancy; cross-client ordering is unaffected).
+ * - Every dispatch is a micro-batch. A job carries a batch key (the
+ *   lane-compatibility key: same formation rule as
+ *   core::LaneBatchRunner group packing) and an opaque payload; the
+ *   one BatchFn executor given at construction runs them. When a
+ *   worker pops a job it first sweeps the queues for every other job
+ *   with the same key (up to batchMaxLanes total), then -- batch-lane
+ *   seeds only; interactive seeds never wait -- waits up to
+ *   batchWindow for more compatible arrivals before dispatching the
+ *   whole set as one executor call. The executor packs the members
+ *   into one SoA LaneThermalBank pass and fans per-lane results back
+ *   per request. With batchMaxLanes = 1 every dispatch is one job and
+ *   strict client fairness holds; otherwise a swept batch member may
+ *   run ahead of its own client's earlier non-matching jobs (batching
+ *   trades strict per-client FIFO order within a client for lane
+ *   occupancy; cross-client ordering is unaffected).
  *
  * Execution: run() dispatches the worker loops onto a dedicated
  * util::ThreadPool via one long parallelFor (each index is a persistent
@@ -115,9 +116,6 @@ class CancelToken
 class Scheduler
 {
   public:
-    /** A job body; must poll the token to honor cancellation. */
-    using JobFn = std::function<void(const CancelToken &)>;
-
     /**
      * One member of a micro-batch handed to the BatchFn executor. The
      * payload is the opaque per-request state the submitter attached
@@ -132,9 +130,9 @@ class Scheduler
     };
 
     /**
-     * Executes one micro-batch (1..batchMaxLanes compatible members).
-     * Must answer every member -- including ones whose token is
-     * already cancelled -- exactly as the scalar path would.
+     * Executes one micro-batch (1..batchMaxLanes same-key members).
+     * Must poll every member's token to honor cancellation, and answer
+     * every member -- including ones whose token is already cancelled.
      */
     using BatchFn = std::function<void(std::vector<BatchItem> &)>;
 
@@ -146,15 +144,11 @@ class Scheduler
         /** Max members per micro-batch (SIMD lane count upstream). */
         std::size_t batchMaxLanes = 8;
         /**
-         * How long a dispatching worker may hold an under-full batch
-         * open for more compatible arrivals. Zero batches only what is
-         * already queued (purely opportunistic).
+         * How long a dispatching batch-lane worker may hold an
+         * under-full batch open for more compatible arrivals. Zero
+         * batches only what is already queued (purely opportunistic).
          */
         std::chrono::milliseconds batchWindow{0};
-        /** Interactive-lane seeds dispatch immediately, never waiting. */
-        bool batchWindowInteractiveBypass = true;
-        /** Executor for batchable jobs; required by submitBatchable(). */
-        BatchFn batchExecutor;
     };
 
     enum class Admission
@@ -186,7 +180,7 @@ class Scheduler
         std::uint64_t batchesDispatched = 0;
         /** Jobs that ran in a >= 2 member batch. */
         std::uint64_t batchedJobs = 0;
-        /** Batchable jobs that ran alone (no compatible peer found). */
+        /** Jobs that ran alone (no compatible peer found, or 1 lane). */
         std::uint64_t batchScalarFallbacks = 0;
         /** Dispatches that held the batching window open. */
         std::uint64_t batchWindowWaits = 0;
@@ -196,7 +190,8 @@ class Scheduler
         std::size_t runningNow = 0;
     };
 
-    explicit Scheduler(Options options);
+    /** @param executor runs every dispatch; must not be empty. */
+    Scheduler(Options options, BatchFn executor);
 
     /**
      * Drains (without cancelling). The thread calling run() must have
@@ -209,32 +204,20 @@ class Scheduler
 
     /**
      * Enqueue a job under (lane, client). @param id must be unique among
-     * live jobs (the server's request id). Never blocks. An optional
-     * deadline makes the timeout cooperative end to end: a job whose
-     * deadline has passed by the time a worker picks it up is dispatched
-     * with its token already cancelled (CancelReason::Deadline), so the
-     * body answers the client immediately instead of simulating.
+     * live jobs (the server's request id). @param batch_key is the
+     * lane-compatibility key (equal keys may share one executor call)
+     * and @param payload the opaque state the executor downcasts.
+     * Never blocks. An optional deadline makes the timeout cooperative
+     * end to end: a job whose deadline has passed by the time a worker
+     * picks it up is dispatched with its token already cancelled
+     * (CancelReason::Deadline), so the executor answers the client
+     * immediately instead of simulating.
      */
     SubmitResult
     submit(std::uint64_t id, Lane lane, const std::string &client_id,
-           JobFn job,
+           std::uint64_t batch_key, std::shared_ptr<void> payload,
            std::optional<std::chrono::steady_clock::time_point>
                deadline = std::nullopt);
-
-    /**
-     * Enqueue a batchable job: instead of a body, it carries the
-     * lane-compatibility key (nonzero; equal keys may share one SoA
-     * pass) and an opaque payload for the BatchFn executor, which
-     * must be configured in Options. Admission, fairness, deadlines
-     * and cancellation behave exactly as for submit().
-     */
-    SubmitResult
-    submitBatchable(std::uint64_t id, Lane lane,
-                    const std::string &client_id,
-                    std::uint64_t batch_key,
-                    std::shared_ptr<void> payload,
-                    std::optional<std::chrono::steady_clock::time_point>
-                        deadline = std::nullopt);
 
     /**
      * Flag a queued or running job's token. Returns false when the id
@@ -273,8 +256,7 @@ class Scheduler
     {
         std::uint64_t id = 0;
         Lane lane = Lane::Interactive;
-        JobFn fn;
-        std::uint64_t batchKey = 0; //!< nonzero routes to batchExecutor
+        std::uint64_t batchKey = 0;
         std::shared_ptr<void> payload;
         CancelToken token;
         std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -293,7 +275,6 @@ class Scheduler
     };
 
     bool popNextLocked(Job &out);
-    SubmitResult submitLocked(const std::string &client_id, Job entry);
     void noteDispatchLocked(Job &job);
     std::size_t collectPeersLocked(std::uint64_t key, std::size_t max,
                                    std::vector<Job> &out);
@@ -302,6 +283,7 @@ class Scheduler
     void workerLoop();
 
     const Options options_;
+    const BatchFn executor_;
     util::ThreadPool pool_;
 
     mutable std::mutex mutex_;

@@ -52,9 +52,9 @@ replyError(util::TcpConnection &conn, std::uint64_t request_id,
 }
 
 /**
- * Everything a batchable admitted run needs, parked in the scheduler
- * queue as the BatchItem payload until a dispatching worker packs it
- * into a LaneBatchRunner lane.
+ * Everything an admitted run needs, parked in the scheduler queue as
+ * the BatchItem payload until a dispatching worker packs it into a
+ * LaneBatchRunner lane.
  */
 struct PendingRun
 {
@@ -73,26 +73,23 @@ struct PendingRun
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      scheduler_([&] {
-          Scheduler::Options o;
-          o.numWorkers = options_.numWorkers;
-          o.maxQueued = options_.maxQueued;
-          o.batchBoostEvery = options_.batchBoostEvery;
-          if (options_.batching) {
-              o.batchMaxLanes = options_.batchMaxLanes;
+      scheduler_(
+          [&] {
+              Scheduler::Options o;
+              o.numWorkers = options_.numWorkers;
+              o.maxQueued = options_.maxQueued;
+              o.batchBoostEvery = options_.batchBoostEvery;
+              o.batchMaxLanes =
+                  std::clamp<std::size_t>(options_.batchMaxLanes, 1,
+                                          thermal::LaneThermalBank::kLanes);
               o.batchWindow =
                   std::chrono::milliseconds(options_.batchWindowMs);
-              o.batchExecutor =
-                  [this](std::vector<Scheduler::BatchItem> &items) {
-                      runSimulationBatch(items);
-                  };
-          }
-          return o;
-      }()),
-      cache_(options_.cacheMaxBytes, options_.cacheMaxEntries),
-      setupCache_(options_.batching
-                      ? std::make_shared<core::SetupCache>()
-                      : nullptr)
+              return o;
+          }(),
+          [this](std::vector<Scheduler::BatchItem> &items) {
+              runSimulationBatch(items);
+          }),
+      cache_(options_.cacheMaxBytes, options_.cacheMaxEntries)
 {}
 
 Server::~Server()
@@ -385,38 +382,9 @@ Server::handleSubmit(std::shared_ptr<util::TcpConnection> conn,
     // (two threads interleaving frames on one socket would corrupt the
     // stream), so it waits on a gate the handler opens after replying.
     auto gate = std::make_shared<std::promise<void>>();
-    std::shared_future<void> accepted_sent = gate->get_future().share();
-    Scheduler::SubmitResult submitted;
-    if (setupCache_) {
-        auto run = std::make_shared<PendingRun>();
-        run->conn = conn;
-        run->id = id;
-        run->request = request;
-        run->config = prepared.value().config;
-        run->config.setupCache = setupCache_;
-        run->key = key;
-        run->deadline = deadline;
-        run->received = received;
-        run->acceptedSent = accepted_sent;
-        // Key first: std::move(run) below may be evaluated before a
-        // sibling argument (order is unspecified).
-        const std::uint64_t batch_key = core::laneCompatibilityKey(
-            run->config, request.horizonMinutes);
-        submitted = scheduler_.submitBatchable(id, lane,
-                                               request.clientId,
-                                               batch_key,
-                                               std::move(run), deadline);
-    } else {
-        auto job = [this, conn, id, request,
-                    config = prepared.value().config, key, deadline,
-                    received, accepted_sent](const CancelToken &token) {
-            accepted_sent.wait();
-            runSimulationJob(conn, id, request, config, key, token,
-                             deadline, received);
-        };
-        submitted = scheduler_.submit(id, lane, request.clientId,
-                                      std::move(job), deadline);
-    }
+    const Scheduler::SubmitResult submitted =
+        submitRun(conn, id, request, prepared.take(), deadline, received,
+                  gate->get_future().share());
     switch (submitted.admission) {
     case Scheduler::Admission::Admitted: {
         const std::uint32_t ahead =
@@ -464,33 +432,9 @@ Server::replayRecovered()
             journalReplayed_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
-        const auto received = std::chrono::steady_clock::now();
-        Scheduler::SubmitResult submitted;
-        if (setupCache_) {
-            auto run = std::make_shared<PendingRun>();
-            run->id = pending.id;
-            run->request = request;
-            run->config = prepared.value().config;
-            run->config.setupCache = setupCache_;
-            run->key = prepared.value().key;
-            run->received = received;
-            const std::uint64_t batch_key = core::laneCompatibilityKey(
-                run->config, request.horizonMinutes);
-            submitted = scheduler_.submitBatchable(
-                pending.id, prepared.value().lane, request.clientId,
-                batch_key, std::move(run));
-        } else {
-            auto job = [this, id = pending.id, request,
-                        config = prepared.value().config,
-                        key = prepared.value().key,
-                        received](const CancelToken &token) {
-                runSimulationJob(nullptr, id, request, config, key,
-                                 token, std::nullopt, received);
-            };
-            submitted =
-                scheduler_.submit(pending.id, prepared.value().lane,
-                                  request.clientId, std::move(job));
-        }
+        const Scheduler::SubmitResult submitted = submitRun(
+            nullptr, pending.id, request, prepared.take(), std::nullopt,
+            std::chrono::steady_clock::now(), {});
         if (submitted.admission != Scheduler::Admission::Admitted) {
             // Stays pending in the journal; the next restart retries.
             ecolo::warn("serve: journal replay of request ", pending.id,
@@ -502,6 +446,30 @@ Server::replayRecovered()
     if (n > 0)
         ecolo::inform("edgetherm-serve: replaying ", n,
                       " journaled request(s)");
+}
+
+Scheduler::SubmitResult
+Server::submitRun(
+    std::shared_ptr<util::TcpConnection> conn, std::uint64_t id,
+    const SubmitPayload &request, PreparedSubmit prepared,
+    std::optional<std::chrono::steady_clock::time_point> deadline,
+    std::chrono::steady_clock::time_point received,
+    std::shared_future<void> accepted_sent)
+{
+    auto run = std::make_shared<PendingRun>();
+    run->conn = std::move(conn);
+    run->id = id;
+    run->request = request;
+    run->config = std::move(prepared.config);
+    run->config.setupCache = setupCache_;
+    run->key = prepared.key;
+    run->deadline = deadline;
+    run->received = received;
+    run->acceptedSent = std::move(accepted_sent);
+    const std::uint64_t batch_key =
+        core::laneCompatibilityKey(run->config, request.horizonMinutes);
+    return scheduler_.submit(id, prepared.lane, request.clientId,
+                             batch_key, std::move(run), deadline);
 }
 
 void
@@ -577,36 +545,6 @@ Server::startSimulation(
 }
 
 void
-Server::runSimulationJob(
-    std::shared_ptr<util::TcpConnection> conn, std::uint64_t request_id,
-    const SubmitPayload &request, const core::SimulationConfig &config,
-    const CacheKey &key, const CancelToken &token,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::chrono::steady_clock::time_point received)
-{
-    auto sim = startSimulation(conn, request_id, request, config, token,
-                               deadline, received);
-    if (!sim)
-        return;
-
-    const MinuteIndex horizon = request.horizonMinutes;
-    while (sim->now() < horizon && !token.cancelled()) {
-        const MinuteIndex chunk = std::min<MinuteIndex>(
-            options_.statusEveryMinutes, horizon - sim->now());
-        sim->run(chunk);
-        // A failed STATUS write means the client went away; keep
-        // simulating anyway so the completed run still fills the cache.
-        if (conn && sim->now() < horizon && !token.cancelled())
-            (void)writeFrame(*conn, MessageType::Status, request_id,
-                             encodeStatus(
-                                 StatusPayload{sim->now(), horizon}));
-    }
-
-    concludeSimulation(conn, request_id, request, config, key, token,
-                       *sim, received);
-}
-
-void
 Server::runSimulationBatch(std::vector<Scheduler::BatchItem> &items)
 {
     struct Member
@@ -618,8 +556,8 @@ Server::runSimulationBatch(std::vector<Scheduler::BatchItem> &items)
     std::vector<Member> members;
     members.reserve(items.size());
     // The batch cannot touch any member's socket until every member's
-    // submit handler has written its ACCEPTED frame (same gate the
-    // scalar path waits on, per member).
+    // submit handler has written its ACCEPTED frame (replayed runs
+    // have no connection and no gate).
     for (Scheduler::BatchItem &item : items) {
         auto *run = static_cast<PendingRun *>(item.payload.get());
         if (run->acceptedSent.valid())
@@ -642,11 +580,11 @@ Server::runSimulationBatch(std::vector<Scheduler::BatchItem> &items)
                        member.run->request.horizonMinutes);
     }
 
-    // Same chunking as the scalar loop: STATUS frames land at the same
-    // simulated-minute boundaries, and a lane that cancels or finishes
-    // mid-chunk is retired by the runner exactly where sim.run would
-    // have stopped. Cancellation is masked per-lane divergence: a
-    // cancelled lane's batchmates keep advancing undisturbed.
+    // STATUS frames land every statusEveryMinutes simulated minutes,
+    // and a lane that cancels or finishes mid-chunk is retired by the
+    // runner exactly where sim.run would have stopped. Cancellation is
+    // masked per-lane divergence: a cancelled lane's batchmates keep
+    // advancing undisturbed.
     while (!runner.finished()) {
         runner.run(options_.statusEveryMinutes);
         for (Member &member : members) {

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -86,14 +87,13 @@ struct ServerOptions
     std::size_t maxQueued = 32;    //!< admission bound (both lanes)
     std::size_t batchBoostEvery = 4;
     /**
-     * Cross-request micro-batching: lane-compatible admitted runs
-     * (same server count, thermal key, and horizon) share one SoA
-     * LaneThermalBank pass and one process-wide core::SetupCache.
-     * Responses stay byte-identical to the scalar path. Off restores
-     * the one-job-per-worker dispatch exactly as before.
+     * Members per micro-batch, clamped to [1, LaneThermalBank::kLanes].
+     * Lane-compatible admitted runs (same server count, thermal key,
+     * and horizon) share one SoA LaneThermalBank pass; every run shares
+     * one process-wide core::SetupCache. Responses are byte-identical
+     * to a direct Simulation::run at every lane count; 1 runs each
+     * request alone.
      */
-    bool batching = true;
-    /** Members per micro-batch (clamped to the SIMD lane count). */
     std::size_t batchMaxLanes = 8;
     /**
      * How long a batch-lane dispatch may hold an under-full batch open
@@ -157,12 +157,8 @@ class Server
     /** Introspection for tests and the stats endpoint. */
     ResultCache::Stats cacheStats() const { return cache_.stats(); }
     Scheduler::Stats schedulerStats() const { return scheduler_.stats(); }
-    /** Zeroed counters when batching (and thus the cache) is off. */
     core::SetupCache::Counters setupCacheCounters() const
-    {
-        return setupCache_ ? setupCache_->counters()
-                           : core::SetupCache::Counters{};
-    }
+    { return setupCache_->counters(); }
 
     /** Journal counters (zeros when no journalDir is configured). */
     struct JournalStats
@@ -196,28 +192,28 @@ class Server
     /** prepareSubmitPayload with this server's horizon bound. */
     util::Result<PreparedSubmit> prepareRequest(SubmitPayload &request);
     /**
-     * Run one admitted simulation. `conn` may be null (journal replay):
-     * all frame writes are skipped, but the cache fill, journal outcome,
-     * and latency accounting still happen.
+     * Queue one admitted run (a new SUBMIT or a journal replay). `conn`
+     * is null for a replay: all frame writes are skipped, but the cache
+     * fill, journal outcome, and latency accounting still happen. The
+     * run waits on `accepted_sent` (when valid) before streaming.
      */
-    void runSimulationJob(
-        std::shared_ptr<util::TcpConnection> conn,
-        std::uint64_t request_id, const SubmitPayload &request,
-        const core::SimulationConfig &config, const CacheKey &key,
-        const CancelToken &token,
+    Scheduler::SubmitResult submitRun(
+        std::shared_ptr<util::TcpConnection> conn, std::uint64_t id,
+        const SubmitPayload &request, PreparedSubmit prepared,
         std::optional<std::chrono::steady_clock::time_point> deadline,
-        std::chrono::steady_clock::time_point received);
+        std::chrono::steady_clock::time_point received,
+        std::shared_future<void> accepted_sent);
     /**
      * Run one micro-batch of admitted simulations as lanes of a
-     * LaneBatchRunner (the scheduler's BatchFn). Every member is
-     * answered exactly as runSimulationJob would: same frames, same
-     * journal outcomes, same cache fills, byte-identical reports.
+     * LaneBatchRunner: the scheduler's executor, which every admitted
+     * run goes through. Each member gets its own frames, journal
+     * outcome, cache fill, and a report byte-identical to a direct run.
      */
     void runSimulationBatch(std::vector<Scheduler::BatchItem> &items);
     /**
-     * Policy construction + Simulation + cooperative cancel check, the
-     * common prologue of the scalar and batched paths. Null after an
-     * error (already answered and journaled).
+     * Policy construction + Simulation + cooperative cancel check: the
+     * prologue of every run. Null after an error (already answered and
+     * journaled).
      */
     std::unique_ptr<core::Simulation> startSimulation(
         const std::shared_ptr<util::TcpConnection> &conn,
@@ -228,8 +224,7 @@ class Server
     /**
      * Terminal handling once a run stopped simulating (cancelled,
      * drained, deadline, or horizon reached): frames, checkpoint,
-     * cache fill, journal outcome, latency. Shared verbatim by the
-     * scalar and batched paths so responses cannot diverge.
+     * cache fill, journal outcome, latency.
      */
     void concludeSimulation(
         const std::shared_ptr<util::TcpConnection> &conn,
@@ -250,8 +245,9 @@ class Server
 
     Scheduler scheduler_;
     ResultCache cache_;
-    /** Process-wide setup artifact cache; null when batching is off. */
-    std::shared_ptr<core::SetupCache> setupCache_;
+    /** Process-wide setup artifact cache, shared by every run. */
+    const std::shared_ptr<core::SetupCache> setupCache_ =
+        std::make_shared<core::SetupCache>();
     std::unique_ptr<RequestJournal> journal_;
     mutable telemetry::TailLatency latency_[2];
 

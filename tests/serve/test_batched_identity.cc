@@ -1,12 +1,12 @@
 /**
  * @file
- * Batched-vs-scalar equivalence properties for the serving stack: the
- * micro-batching dispatch path (cross-request SoA lanes) must be
- * byte-identical to the scalar path for every completed request, and
- * per-request semantics -- cancellation, deadlines, chaos-injected
- * transport faults -- must survive batching as masked per-lane
- * divergence. Ground truth is the direct engine render (what the
- * scalar job body produces by construction).
+ * Equivalence properties for the serving stack's one executor: at
+ * every lane count -- 8 (cross-request SoA lanes) and 1 (each request
+ * alone) -- every completed request must be byte-identical to a direct
+ * Simulation::run render, and per-request semantics -- cancellation,
+ * deadlines, chaos-injected transport faults -- must survive batching
+ * as masked per-lane divergence. Each property runs once per lane
+ * count: the plain test name at 8 lanes, the `SingleLane` one at 1.
  */
 
 #include <gtest/gtest.h>
@@ -64,14 +64,21 @@ class ServerHarness
 };
 
 ServerOptions
-batchedOptions(std::uint32_t window_ms = 25)
+batchedOptions(std::size_t lanes, std::uint32_t window_ms = 25)
 {
     ServerOptions options;
     options.numWorkers = 2;
     options.maxQueued = 64;
-    options.batching = true;
+    options.batchMaxLanes = lanes;
     options.batchWindowMs = window_ms;
     return options;
+}
+
+std::uint64_t
+setupHits(const core::SetupCache::Counters &setup)
+{
+    return setup.traceHits + setup.scaleHits + setup.matrixHits +
+           setup.factorizationHits;
 }
 
 RequestSpec
@@ -124,9 +131,24 @@ directReport(const RequestSpec &spec,
     return os.str();
 }
 
-TEST(ServeBatchedIdentity, BatchedCampaignMatchesDirectRenderByteForByte)
+void
+checkCampaignMatchesDirectRender(std::size_t lanes)
 {
-    ServerHarness harness(batchedOptions());
+    ServerHarness harness(batchedOptions(lanes));
+
+    // The shared setup cache serves every lane count: a second request
+    // with the same scenario reuses the first one's setup artifacts.
+    {
+        auto client = harness.client();
+        for (const double param : {4.0, 4.1}) {
+            const auto outcome =
+                client.submitWithRetry(campaignRequest(param),
+                                       RetryPolicy{});
+            ASSERT_TRUE(outcome.ok());
+            ASSERT_EQ(outcome.value().status, OutcomeStatus::Completed);
+        }
+        EXPECT_GT(setupHits(harness->setupCacheCounters()), 0u);
+    }
 
     // 8 concurrent clients, same scenario seed (one compatibility key),
     // swept policy parameter (8 distinct results: the result cache
@@ -157,23 +179,24 @@ TEST(ServeBatchedIdentity, BatchedCampaignMatchesDirectRenderByteForByte)
         t.join();
     ASSERT_EQ(failures.load(), 0);
 
-    // Batching actually happened, and the shared setup cache was hit.
+    // Batching happened exactly when lanes allow it.
     const auto stats = harness->schedulerStats();
-    EXPECT_GE(stats.batchesDispatched, 1u);
-    EXPECT_GE(stats.batchMaxOccupancy, 2u);
-    const auto setup = harness->setupCacheCounters();
-    EXPECT_GT(setup.traceHits + setup.scaleHits + setup.matrixHits +
-                  setup.factorizationHits,
-              0u);
+    if (lanes > 1) {
+        EXPECT_GE(stats.batchesDispatched, 1u);
+        EXPECT_GE(stats.batchMaxOccupancy, 2u);
+    } else {
+        EXPECT_EQ(stats.batchesDispatched, 0u);
+        EXPECT_EQ(stats.batchedJobs, 0u);
+    }
 
-    // Every response is byte-identical to the scalar ground truth.
+    // Every response is byte-identical to the direct render.
     auto shared = std::make_shared<core::SetupCache>();
     for (int i = 0; i < kRequests; ++i) {
         const RequestSpec spec =
             campaignRequest(5.0 + 0.1 * static_cast<double>(i));
         EXPECT_EQ(reports[static_cast<std::size_t>(i)],
                   directReport(spec, shared))
-            << "member " << i << " diverged under batching";
+            << "member " << i << " diverged at " << lanes << " lane(s)";
     }
 
     // The batching counters surface in the metrics document.
@@ -186,9 +209,10 @@ TEST(ServeBatchedIdentity, BatchedCampaignMatchesDirectRenderByteForByte)
               std::string::npos);
 }
 
-TEST(ServeBatchedIdentity, RandomizedCancelAndDeadlineMixKeepsSemantics)
+void
+checkCancelAndDeadlineMix(std::size_t lanes)
 {
-    ServerHarness harness(batchedOptions(50));
+    ServerHarness harness(batchedOptions(lanes, 50));
 
     // A seeded shuffle of three request kinds, all submitted
     // concurrently so batches mix live, pre-expired, and soon-to-be
@@ -273,16 +297,18 @@ TEST(ServeBatchedIdentity, RandomizedCancelAndDeadlineMixKeepsSemantics)
         t.join();
     EXPECT_EQ(bad.load(), 0);
 
-    // The mix still produced real batches, and every member that
-    // completed is byte-identical to the scalar ground truth.
-    EXPECT_GE(harness->schedulerStats().batchesDispatched, 1u);
+    // The mix still produced real batches (when lanes allow), and every
+    // member that completed is byte-identical to the direct render.
+    if (lanes > 1)
+        EXPECT_GE(harness->schedulerStats().batchesDispatched, 1u);
     ASSERT_EQ(completed.size(), 4u);
     auto shared = std::make_shared<core::SetupCache>();
     for (const auto &[spec, report] : completed)
         EXPECT_EQ(report, directReport(spec, shared));
 }
 
-TEST(ServeBatchedIdentity, ChaoticTransportStaysByteIdentical)
+void
+checkChaoticTransport(std::size_t lanes)
 {
     // Benign unbounded chaos on every socket: delays and 7-byte
     // fragments. The retry client must reassemble responses that are
@@ -307,7 +333,7 @@ TEST(ServeBatchedIdentity, ChaoticTransportStaysByteIdentical)
     ASSERT_NE(injector, nullptr);
 
     {
-        ServerHarness harness(batchedOptions());
+        ServerHarness harness(batchedOptions(lanes));
         constexpr int kRequests = 6;
         std::vector<std::string> reports(kRequests);
         std::atomic<int> failures{0};
@@ -342,6 +368,36 @@ TEST(ServeBatchedIdentity, ChaoticTransportStaysByteIdentical)
         }
     }
     util::setGlobalSocketFaultInjector(nullptr);
+}
+
+TEST(ServeBatchedIdentity, BatchedCampaignMatchesDirectRenderByteForByte)
+{
+    checkCampaignMatchesDirectRender(8);
+}
+
+TEST(ServeBatchedIdentity, SingleLaneCampaignMatchesDirectRenderByteForByte)
+{
+    checkCampaignMatchesDirectRender(1);
+}
+
+TEST(ServeBatchedIdentity, RandomizedCancelAndDeadlineMixKeepsSemantics)
+{
+    checkCancelAndDeadlineMix(8);
+}
+
+TEST(ServeBatchedIdentity, SingleLaneCancelAndDeadlineMixKeepsSemantics)
+{
+    checkCancelAndDeadlineMix(1);
+}
+
+TEST(ServeBatchedIdentity, ChaoticTransportStaysByteIdentical)
+{
+    checkChaoticTransport(8);
+}
+
+TEST(ServeBatchedIdentity, SingleLaneChaoticTransportStaysByteIdentical)
+{
+    checkChaoticTransport(1);
 }
 
 } // namespace

@@ -9,6 +9,11 @@
  * job that holds the worker while the test enqueues; once the gate is
  * released, the dispatch order of what was queued is fully determined
  * by the scheduling policy.
+ *
+ * The scheduler has one executor for every dispatch. These tests give
+ * it a test-local one that runs a callable stored in each job's
+ * payload (a Body); a job with no payload is a bare batch member whose
+ * dispatch only BatchLog records.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +21,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,12 +36,36 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/** A test job body, stored as the job's payload. */
+using Body = std::function<void(const CancelToken &)>;
+
+/** The test executor: runs each member's Body, if it carries one. */
+void
+runBodies(std::vector<Scheduler::BatchItem> &items)
+{
+    for (Scheduler::BatchItem &item : items) {
+        if (item.payload)
+            (*static_cast<Body *>(item.payload.get()))(item.token);
+    }
+}
+
+/** One worker, one job per dispatch: every job is dispatched alone. */
+Scheduler::Options
+singleLaneOptions(std::size_t workers = 1)
+{
+    Scheduler::Options options;
+    options.numWorkers = workers;
+    options.batchMaxLanes = 1;
+    return options;
+}
+
 /** Runs scheduler.run() on a joined thread; drains on destruction. */
 class SchedulerHarness
 {
   public:
-    explicit SchedulerHarness(Scheduler::Options options)
-        : scheduler_(options),
+    explicit SchedulerHarness(Scheduler::Options options,
+                              Scheduler::BatchFn executor = runBodies)
+        : scheduler_(options, std::move(executor)),
           runner_([this] { scheduler_.run(); })
     {}
 
@@ -47,6 +79,18 @@ class SchedulerHarness
 
     Scheduler &operator*() { return scheduler_; }
     Scheduler *operator->() { return &scheduler_; }
+
+    /** Submit a job that runs `body`; its key is its id (never shared). */
+    Scheduler::SubmitResult
+    submit(std::uint64_t id, Lane lane, const std::string &client,
+           Body body,
+           std::optional<std::chrono::steady_clock::time_point>
+               deadline = std::nullopt)
+    {
+        return scheduler_.submit(id, lane, client, id,
+                                 std::make_shared<Body>(std::move(body)),
+                                 deadline);
+    }
 
     void
     finish()
@@ -71,7 +115,7 @@ class SchedulerHarness
 class Gate
 {
   public:
-    Scheduler::JobFn
+    Body
     job()
     {
         return [this](const CancelToken &) {
@@ -109,7 +153,7 @@ class Gate
 class OrderLog
 {
   public:
-    Scheduler::JobFn
+    Body
     job(int label)
     {
         return [this, label](const CancelToken &) {
@@ -132,26 +176,25 @@ class OrderLog
 
 TEST(ServeSchedulerParallel, InteractiveLaneIsNeverStarvedByBatch)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 64;
     SchedulerHarness harness(options);
 
     Gate gate;
     OrderLog log;
-    ASSERT_EQ(harness->submit(1, Lane::Batch, "warm", gate.job())
+    ASSERT_EQ(harness.submit(1, Lane::Batch, "warm", gate.job())
                   .admission,
               Scheduler::Admission::Admitted);
     gate.waitEntered(); // worker busy; everything below queues up
 
     for (int i = 0; i < 8; ++i) {
         ASSERT_EQ(harness
-                      ->submit(static_cast<std::uint64_t>(100 + i),
-                               Lane::Batch, "bulk", log.job(100 + i))
+                      .submit(static_cast<std::uint64_t>(100 + i),
+                              Lane::Batch, "bulk", log.job(100 + i))
                       .admission,
                   Scheduler::Admission::Admitted);
     }
-    ASSERT_EQ(harness->submit(2, Lane::Interactive, "user", log.job(2))
+    ASSERT_EQ(harness.submit(2, Lane::Interactive, "user", log.job(2))
                   .admission,
               Scheduler::Admission::Admitted);
 
@@ -166,23 +209,22 @@ TEST(ServeSchedulerParallel, InteractiveLaneIsNeverStarvedByBatch)
 
 TEST(ServeSchedulerParallel, BatchIsBoostedUnderInteractiveFlood)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 64;
     options.batchBoostEvery = 2;
     SchedulerHarness harness(options);
 
     Gate gate;
     OrderLog log;
-    ASSERT_EQ(harness->submit(1, Lane::Interactive, "warm", gate.job())
+    ASSERT_EQ(harness.submit(1, Lane::Interactive, "warm", gate.job())
                   .admission,
               Scheduler::Admission::Admitted);
     gate.waitEntered();
 
     for (int i = 0; i < 6; ++i)
-        harness->submit(static_cast<std::uint64_t>(10 + i),
-                        Lane::Interactive, "flood", log.job(10 + i));
-    harness->submit(99, Lane::Batch, "bg", log.job(99));
+        harness.submit(static_cast<std::uint64_t>(10 + i),
+                       Lane::Interactive, "flood", log.job(10 + i));
+    harness.submit(99, Lane::Batch, "bg", log.job(99));
 
     gate.release();
     harness.finish();
@@ -198,21 +240,20 @@ TEST(ServeSchedulerParallel, BatchIsBoostedUnderInteractiveFlood)
 
 TEST(ServeSchedulerParallel, ClientsAreServedRoundRobinWithinALane)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 64;
     SchedulerHarness harness(options);
 
     Gate gate;
     OrderLog log;
-    harness->submit(1, Lane::Interactive, "warm", gate.job());
+    harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
 
     // Client "hog" dumps 4 jobs, then "late" submits one.
     for (int i = 0; i < 4; ++i)
-        harness->submit(static_cast<std::uint64_t>(10 + i),
-                        Lane::Interactive, "hog", log.job(10 + i));
-    harness->submit(50, Lane::Interactive, "late", log.job(50));
+        harness.submit(static_cast<std::uint64_t>(10 + i),
+                       Lane::Interactive, "hog", log.job(10 + i));
+    harness.submit(50, Lane::Interactive, "late", log.job(50));
 
     gate.release();
     harness.finish();
@@ -226,23 +267,22 @@ TEST(ServeSchedulerParallel, ClientsAreServedRoundRobinWithinALane)
 
 TEST(ServeSchedulerParallel, AdmissionIsBoundedAndReportsQueueFull)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 2;
     SchedulerHarness harness(options);
 
     Gate gate;
-    harness->submit(1, Lane::Interactive, "warm", gate.job());
+    harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
 
     OrderLog log;
-    EXPECT_EQ(harness->submit(2, Lane::Interactive, "c", log.job(2))
+    EXPECT_EQ(harness.submit(2, Lane::Interactive, "c", log.job(2))
                   .admission,
               Scheduler::Admission::Admitted);
-    EXPECT_EQ(harness->submit(3, Lane::Batch, "c", log.job(3)).admission,
+    EXPECT_EQ(harness.submit(3, Lane::Batch, "c", log.job(3)).admission,
               Scheduler::Admission::Admitted);
     const auto rejected =
-        harness->submit(4, Lane::Interactive, "c", log.job(4));
+        harness.submit(4, Lane::Interactive, "c", log.job(4));
     EXPECT_EQ(rejected.admission, Scheduler::Admission::QueueFull);
     EXPECT_EQ(harness->stats().rejectedQueueFull, 1u);
 
@@ -253,23 +293,22 @@ TEST(ServeSchedulerParallel, AdmissionIsBoundedAndReportsQueueFull)
 
 TEST(ServeSchedulerParallel, CancelledQueuedJobStillRunsItsCompletionPath)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 8;
     SchedulerHarness harness(options);
 
     Gate gate;
-    harness->submit(1, Lane::Interactive, "warm", gate.job());
+    harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
 
     std::atomic<bool> observed_cancel{false};
     std::atomic<bool> job_ran{false};
-    harness->submit(2, Lane::Interactive, "c",
-                    [&](const CancelToken &token) {
-                        job_ran.store(true);
-                        observed_cancel.store(token.cancelled());
-                        EXPECT_EQ(token.reason(), CancelReason::Client);
-                    });
+    harness.submit(2, Lane::Interactive, "c",
+                   [&](const CancelToken &token) {
+                       job_ran.store(true);
+                       observed_cancel.store(token.cancelled());
+                       EXPECT_EQ(token.reason(), CancelReason::Client);
+                   });
     EXPECT_TRUE(harness->cancel(2, CancelReason::Client));
     EXPECT_FALSE(harness->cancel(777, CancelReason::Client));
 
@@ -287,34 +326,33 @@ TEST(ServeSchedulerParallel, CancelledQueuedJobStillRunsItsCompletionPath)
 
 TEST(ServeSchedulerParallel, ExpiredDeadlineCancelsAtDispatch)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 8;
     SchedulerHarness harness(options);
 
     Gate gate;
-    harness->submit(1, Lane::Interactive, "warm", gate.job());
+    harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
 
     // Queued behind the gate with an already-expired budget: the worker
     // must dispatch it with its token pre-cancelled, never skip it.
     std::atomic<bool> job_ran{false};
     std::atomic<int> observed_reason{0};
-    harness->submit(2, Lane::Interactive, "d",
-                    [&](const CancelToken &token) {
-                        job_ran.store(true);
-                        observed_reason.store(
-                            static_cast<int>(token.reason()));
-                    },
-                    std::chrono::steady_clock::now() - 1ms);
+    harness.submit(2, Lane::Interactive, "d",
+                   [&](const CancelToken &token) {
+                       job_ran.store(true);
+                       observed_reason.store(
+                           static_cast<int>(token.reason()));
+                   },
+                   std::chrono::steady_clock::now() - 1ms);
 
     // A deadline comfortably in the future must not trip.
     std::atomic<bool> fresh_cancelled{true};
-    harness->submit(3, Lane::Interactive, "d",
-                    [&](const CancelToken &token) {
-                        fresh_cancelled.store(token.cancelled());
-                    },
-                    std::chrono::steady_clock::now() + 1h);
+    harness.submit(3, Lane::Interactive, "d",
+                   [&](const CancelToken &token) {
+                       fresh_cancelled.store(token.cancelled());
+                   },
+                   std::chrono::steady_clock::now() + 1h);
 
     gate.release();
     harness.finish();
@@ -331,20 +369,19 @@ TEST(ServeSchedulerParallel, ExpiredDeadlineCancelsAtDispatch)
 
 TEST(ServeSchedulerParallel, CancelReachesARunningJob)
 {
-    Scheduler::Options options;
-    options.numWorkers = 2;
+    Scheduler::Options options = singleLaneOptions(2);
     SchedulerHarness harness(options);
 
     std::atomic<bool> done{false};
     std::atomic<std::int64_t> polls{0};
-    harness->submit(1, Lane::Batch, "c",
-                    [&](const CancelToken &token) {
-                        while (!token.cancelled()) {
-                            polls.fetch_add(1);
-                            std::this_thread::sleep_for(1ms);
-                        }
-                        done.store(true);
-                    });
+    harness.submit(1, Lane::Batch, "c",
+                   [&](const CancelToken &token) {
+                       while (!token.cancelled()) {
+                           polls.fetch_add(1);
+                           std::this_thread::sleep_for(1ms);
+                       }
+                       done.store(true);
+                   });
     // Give the job time to start, then cancel it mid-flight.
     while (polls.load() == 0)
         std::this_thread::sleep_for(1ms);
@@ -355,18 +392,17 @@ TEST(ServeSchedulerParallel, CancelReachesARunningJob)
 
 TEST(ServeSchedulerParallel, DrainRejectsNewWorkAndCompletesQueued)
 {
-    Scheduler::Options options;
-    options.numWorkers = 2;
+    Scheduler::Options options = singleLaneOptions(2);
     options.maxQueued = 16;
     SchedulerHarness harness(options);
 
     OrderLog log;
     for (int i = 0; i < 4; ++i)
-        harness->submit(static_cast<std::uint64_t>(i), Lane::Batch,
-                        "c" + std::to_string(i), log.job(i));
+        harness.submit(static_cast<std::uint64_t>(i), Lane::Batch,
+                       "c" + std::to_string(i), log.job(i));
     harness->drain(false);
     const auto rejected =
-        harness->submit(99, Lane::Interactive, "late", log.job(99));
+        harness.submit(99, Lane::Interactive, "late", log.job(99));
     EXPECT_EQ(rejected.admission, Scheduler::Admission::Draining);
     harness.finish();
     EXPECT_EQ(log.order().size(), 4u);
@@ -375,25 +411,24 @@ TEST(ServeSchedulerParallel, DrainRejectsNewWorkAndCompletesQueued)
 
 TEST(ServeSchedulerParallel, DrainWithCancelFlagsInFlightWithDrainReason)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     SchedulerHarness harness(options);
 
     std::atomic<int> reason{-1};
     std::mutex mutex;
     std::condition_variable started_cv;
     bool started = false;
-    harness->submit(1, Lane::Batch, "c",
-                    [&](const CancelToken &token) {
-                        {
-                            std::lock_guard<std::mutex> lock(mutex);
-                            started = true;
-                        }
-                        started_cv.notify_all();
-                        while (!token.cancelled())
-                            std::this_thread::sleep_for(1ms);
-                        reason.store(static_cast<int>(token.reason()));
-                    });
+    harness.submit(1, Lane::Batch, "c",
+                   [&](const CancelToken &token) {
+                       {
+                           std::lock_guard<std::mutex> lock(mutex);
+                           started = true;
+                       }
+                       started_cv.notify_all();
+                       while (!token.cancelled())
+                           std::this_thread::sleep_for(1ms);
+                       reason.store(static_cast<int>(token.reason()));
+                   });
     {
         std::unique_lock<std::mutex> lock(mutex);
         started_cv.wait(lock, [&] { return started; });
@@ -404,7 +439,10 @@ TEST(ServeSchedulerParallel, DrainWithCancelFlagsInFlightWithDrainReason)
 
 // ---- Cross-request micro-batching. ----
 
-/** Thread-safe recorder of every executor invocation's member ids. */
+/**
+ * Thread-safe recorder of the bare (payload-less) members of every
+ * executor invocation; members carrying a Body (the gate) just run.
+ */
 class BatchLog
 {
   public:
@@ -412,13 +450,17 @@ class BatchLog
     executor()
     {
         return [this](std::vector<Scheduler::BatchItem> &items) {
+            runBodies(items);
             std::vector<std::uint64_t> ids;
             std::vector<bool> cancelled;
-            ids.reserve(items.size());
             for (const Scheduler::BatchItem &item : items) {
+                if (item.payload)
+                    continue;
                 ids.push_back(item.id);
                 cancelled.push_back(item.token.cancelled());
             }
+            if (ids.empty())
+                return;
             std::lock_guard<std::mutex> lock(mutex_);
             batches_.push_back(std::move(ids));
             cancelled_.push_back(std::move(cancelled));
@@ -452,19 +494,17 @@ TEST(ServeSchedulerParallel, CompatibleJobsCoalesceIntoOneBatch)
     options.numWorkers = 1;
     options.maxQueued = 64;
     options.batchMaxLanes = 8;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
     Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
+    harness.submit(1, Lane::Batch, "warm", gate.job());
     gate.waitEntered(); // everything below queues behind the gate
 
     for (int i = 0; i < 6; ++i) {
         ASSERT_EQ(harness
-                      ->submitBatchable(
-                          static_cast<std::uint64_t>(10 + i),
-                          Lane::Batch, "c" + std::to_string(i % 3),
-                          /*batch_key=*/77, nullptr)
+                      ->submit(static_cast<std::uint64_t>(10 + i),
+                               Lane::Batch, "c" + std::to_string(i % 3),
+                               /*batch_key=*/77, nullptr)
                       .admission,
                   Scheduler::Admission::Admitted);
     }
@@ -479,7 +519,7 @@ TEST(ServeSchedulerParallel, CompatibleJobsCoalesceIntoOneBatch)
     const auto stats = harness->stats();
     EXPECT_EQ(stats.batchesDispatched, 1u);
     EXPECT_EQ(stats.batchedJobs, 6u);
-    EXPECT_EQ(stats.batchScalarFallbacks, 0u);
+    EXPECT_EQ(stats.batchScalarFallbacks, 1u); // the gate ran alone
     EXPECT_EQ(stats.batchMaxOccupancy, 6u);
     EXPECT_EQ(stats.completed, 7u); // gate + 6 members
 }
@@ -491,16 +531,15 @@ TEST(ServeSchedulerParallel, BatchRespectsMaxLanesBound)
     options.numWorkers = 1;
     options.maxQueued = 64;
     options.batchMaxLanes = 4;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
     Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
+    harness.submit(1, Lane::Batch, "warm", gate.job());
     gate.waitEntered();
 
     for (int i = 0; i < 10; ++i)
-        harness->submitBatchable(static_cast<std::uint64_t>(10 + i),
-                                 Lane::Batch, "c", 77, nullptr);
+        harness->submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
+                        "c", 77, nullptr);
 
     gate.release();
     harness.finish();
@@ -522,18 +561,16 @@ TEST(ServeSchedulerParallel, MixedKeysNeverShareABatch)
     Scheduler::Options options;
     options.numWorkers = 1;
     options.maxQueued = 64;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
     Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
+    harness.submit(1, Lane::Batch, "warm", gate.job());
     gate.waitEntered();
 
     // Interleaved keys: 11,22,11,22,...
     for (int i = 0; i < 8; ++i)
-        harness->submitBatchable(static_cast<std::uint64_t>(10 + i),
-                                 Lane::Batch, "c",
-                                 (i % 2 == 0) ? 11u : 22u, nullptr);
+        harness->submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
+                        "c", (i % 2 == 0) ? 11u : 22u, nullptr);
 
     gate.release();
     harness.finish();
@@ -545,7 +582,8 @@ TEST(ServeSchedulerParallel, MixedKeysNeverShareABatch)
             EXPECT_EQ(id % 2, batch.front() % 2) << "mixed-key batch";
     }
     const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchedJobs + stats.batchScalarFallbacks, 8u);
+    // 8 members plus the gate, which ran alone.
+    EXPECT_EQ(stats.batchedJobs + stats.batchScalarFallbacks, 9u);
 }
 
 TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
@@ -555,16 +593,15 @@ TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
     options.numWorkers = 1;
     options.maxQueued = 64;
     options.batchWindow = 250ms;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
     // The seed dispatches alone into the window wait; the late arrival
     // lands inside the window and must join the same batch. Poll the
     // stat so the "late" submit provably happens inside the window.
-    harness->submitBatchable(1, Lane::Batch, "a", 77, nullptr);
+    harness->submit(1, Lane::Batch, "a", 77, nullptr);
     while (harness->stats().batchWindowWaits == 0)
         std::this_thread::sleep_for(1ms);
-    harness->submitBatchable(2, Lane::Batch, "b", 77, nullptr);
+    harness->submit(2, Lane::Batch, "b", 77, nullptr);
     harness.finish();
 
     const auto batches = log.batches();
@@ -583,10 +620,9 @@ TEST(ServeSchedulerParallel, InteractiveSeedBypassesTheWindow)
     options.numWorkers = 1;
     options.maxQueued = 64;
     options.batchWindow = 10000ms; // would hang the test if waited on
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
-    harness->submitBatchable(1, Lane::Interactive, "a", 77, nullptr);
+    harness->submit(1, Lane::Interactive, "a", 77, nullptr);
     harness.finish();
 
     // The interactive seed dispatched immediately, alone, without ever
@@ -604,16 +640,15 @@ TEST(ServeSchedulerParallel, CancelledMemberStaysInBatchAsMaskedLane)
     Scheduler::Options options;
     options.numWorkers = 1;
     options.maxQueued = 64;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
     Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
+    harness.submit(1, Lane::Batch, "warm", gate.job());
     gate.waitEntered();
 
-    harness->submitBatchable(10, Lane::Batch, "a", 77, nullptr);
-    harness->submitBatchable(11, Lane::Batch, "b", 77, nullptr);
-    harness->submitBatchable(12, Lane::Batch, "c", 77, nullptr);
+    harness->submit(10, Lane::Batch, "a", 77, nullptr);
+    harness->submit(11, Lane::Batch, "b", 77, nullptr);
+    harness->submit(12, Lane::Batch, "c", 77, nullptr);
     EXPECT_TRUE(harness->cancel(11, CancelReason::Client));
 
     gate.release();
@@ -634,18 +669,17 @@ TEST(ServeSchedulerParallel, CancelledMemberStaysInBatchAsMaskedLane)
 
 TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
 {
-    Scheduler::Options options;
-    options.numWorkers = 1;
+    Scheduler::Options options = singleLaneOptions();
     options.maxQueued = 64;
     SchedulerHarness harness(options);
 
     Gate gate;
-    harness->submit(1, Lane::Interactive, "warm", gate.job());
+    harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
 
     OrderLog log;
-    harness->submit(2, Lane::Interactive, "a", log.job(2));
-    harness->submit(3, Lane::Batch, "b", log.job(3));
+    harness.submit(2, Lane::Interactive, "a", log.job(2));
+    harness.submit(3, Lane::Batch, "b", log.job(3));
     std::this_thread::sleep_for(5ms); // measurable queueing delay
 
     gate.release();
@@ -665,15 +699,15 @@ TEST(ServeSchedulerParallel, DrainCompletesQueuedBatchableJobs)
     options.numWorkers = 1;
     options.maxQueued = 64;
     options.batchWindow = 10000ms;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
+    SchedulerHarness harness(options, log.executor());
 
+    // An interactive gate: a batch-lane one would hold the window open.
     Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
+    harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
     for (int i = 0; i < 3; ++i)
-        harness->submitBatchable(static_cast<std::uint64_t>(10 + i),
-                                 Lane::Batch, "c", 77, nullptr);
+        harness->submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
+                        "c", 77, nullptr);
     gate.release();
     harness.finish(); // drain(false): queued work must still run, and
                       // the window must not hold the drain open
@@ -687,8 +721,7 @@ TEST(ServeSchedulerParallel, DrainCompletesQueuedBatchableJobs)
 
 TEST(ServeSchedulerParallel, ConcurrentMixedClientsAllComplete)
 {
-    Scheduler::Options options;
-    options.numWorkers = 4;
+    Scheduler::Options options = singleLaneOptions(4);
     options.maxQueued = 256;
     SchedulerHarness harness(options);
 
@@ -705,7 +738,7 @@ TEST(ServeSchedulerParallel, ConcurrentMixedClientsAllComplete)
                 const Lane lane =
                     (c % 2 == 0) ? Lane::Interactive : Lane::Batch;
                 for (;;) {
-                    const auto r = harness->submit(
+                    const auto r = harness.submit(
                         id, lane, "client-" + std::to_string(c),
                         [&](const CancelToken &) {
                             completed.fetch_add(1);

@@ -18,11 +18,9 @@
  *                     lane-compatible arrivals (default 2; interactive
  *                     requests never wait; 0 = batch only what is
  *                     already queued)
- *   --batch-lanes N   members per micro-batch (default 8, the SIMD
- *                     lane count)
- *   --no-batching     dispatch one scalar simulation per worker (the
- *                     pre-batching behavior; also disables the shared
- *                     setup cache)
+ *   --batch-lanes N   members per micro-batch, in [1, 8] (default 8,
+ *                     the SIMD lane count; 1 runs every request alone,
+ *                     still through the shared setup cache)
  *   --drain-dir DIR   on drain, checkpoint in-flight runs here instead
  *                     of running them to their horizon
  *   --journal-dir DIR write-ahead journal admitted requests here; a
@@ -53,6 +51,7 @@
 
 #include "faults/chaos.hh"
 #include "serve/server.hh"
+#include "thermal/lane_bank.hh"
 #include "util/logging.hh"
 #include "util/socket.hh"
 
@@ -86,7 +85,7 @@ printUsage(std::ostream &os)
           "                       [--status-every MINUTES] "
           "[--drain-dir DIR]\n"
           "                       [--batch-window-ms N] "
-          "[--batch-lanes N] [--no-batching]\n"
+          "[--batch-lanes N]\n"
           "                       [--journal-dir DIR] [--chaos FILE]\n"
           "                       [--metrics-out FILE] "
           "[--log-level LEVEL]\n"
@@ -186,10 +185,13 @@ parseArgs(int argc, char **argv)
                            "got ", ms);
             opts.server.batchWindowMs = static_cast<std::uint32_t>(ms);
         } else if (std::strcmp(arg, "--batch-lanes") == 0) {
-            opts.server.batchMaxLanes = static_cast<std::size_t>(
-                parsePositiveArg(arg, need_value(i, arg)));
-        } else if (std::strcmp(arg, "--no-batching") == 0) {
-            opts.server.batching = false;
+            const long lanes = parseLongArg(arg, need_value(i, arg));
+            if (lanes < 1 ||
+                lanes > static_cast<long>(thermal::LaneThermalBank::kLanes))
+                usageError("--batch-lanes must be in [1, ",
+                           thermal::LaneThermalBank::kLanes, "], got ",
+                           lanes);
+            opts.server.batchMaxLanes = static_cast<std::size_t>(lanes);
         } else if (std::strcmp(arg, "--drain-dir") == 0) {
             opts.server.drainCheckpointDir = need_value(i, arg);
         } else if (std::strcmp(arg, "--journal-dir") == 0) {
