@@ -1,7 +1,7 @@
 /**
  * @file
  * Microbenchmarks for the performance-critical kernels: the dense vs.
- * factorized thermal convolution (the per-minute hot path of every
+ * streaming thermal kernel (the per-minute hot path of every
  * campaign), serial vs. thread-pool fleet simulation, and serial vs.
  * parallel CFD matrix extraction. Run with --benchmark_format=json (or
  * --benchmark_out=...) to emit the machine-readable perf trajectory.
@@ -60,31 +60,7 @@ fillHistory(MatrixThermalModel &model, std::size_t num_servers,
     }
 }
 
-/** A rank-3 synthetic "CFD-like" tensor (three separable components). */
-HeatDistributionMatrix
-rankThreeMatrix(const power::DataCenterLayout &layout, std::size_t horizon)
-{
-    const std::size_t n = layout.numServers();
-    auto base = HeatDistributionMatrix::analyticDefault(
-        layout, HeatDistributionMatrix::AnalyticParams(), horizon);
-    HeatDistributionMatrix matrix(n, horizon);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            const double g = base.steadyGain(i, j);
-            for (std::size_t tau = 0; tau < horizon; ++tau) {
-                const double t = static_cast<double>(tau + 1);
-                // Three distinct temporal shapes weighted by position.
-                matrix.coeff(i, j, tau) =
-                    g * (0.6 / t + 0.3 * (1.0 / (t * t)) *
-                                       (1.0 + 0.5 * ((i + j) % 3)) +
-                         0.1 * (tau == 0 ? 1.0 : 0.0) * ((j % 2) + 1));
-            }
-        }
-    }
-    return matrix;
-}
-
-// ---- Dense vs. factorized convolution (paper default N=40, H=10). ----
+// ---- Dense reference convolution (paper default N=40, H=10). ----
 
 void
 BM_ThermalRisesDense(benchmark::State &state)
@@ -95,7 +71,7 @@ BM_ThermalRisesDense(benchmark::State &state)
         HeatDistributionMatrix::analyticDefault(
             layoutWithServers(n), HeatDistributionMatrix::AnalyticParams(),
             horizon),
-        ThermalComputeMode::Dense);
+        KernelMode::Dense);
     fillHistory(model, n, horizon);
     std::vector<double> rises;
     for (auto _ : state) {
@@ -105,47 +81,6 @@ BM_ThermalRisesDense(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ThermalRisesDense)->Arg(40)->Arg(80)->Arg(160);
-
-void
-BM_ThermalRisesFactorized(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const std::size_t horizon = 10;
-    MatrixThermalModel model(
-        HeatDistributionMatrix::analyticDefault(
-            layoutWithServers(n), HeatDistributionMatrix::AnalyticParams(),
-            horizon),
-        ThermalComputeMode::Auto);
-    fillHistory(model, n, horizon);
-    std::vector<double> rises;
-    for (auto _ : state) {
-        model.computeAllRises(rises);
-        benchmark::DoNotOptimize(rises.data());
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel("rank=" +
-                   std::to_string(model.factorizationRank()));
-}
-BENCHMARK(BM_ThermalRisesFactorized)->Arg(40)->Arg(80)->Arg(160);
-
-void
-BM_ThermalRisesLowRank(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const std::size_t horizon = 10;
-    MatrixThermalModel model(rankThreeMatrix(layoutWithServers(n), horizon),
-                             ThermalComputeMode::Auto);
-    fillHistory(model, n, horizon);
-    std::vector<double> rises;
-    for (auto _ : state) {
-        model.computeAllRises(rises);
-        benchmark::DoNotOptimize(rises.data());
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel("rank=" +
-                   std::to_string(model.factorizationRank()));
-}
-BENCHMARK(BM_ThermalRisesLowRank)->Arg(40)->Arg(80);
 
 // ---- Year-long slot loop: the acceptance metric of the streaming ----
 // ---- kernel (push + computeAllRises per slot, N=40, H=10).        ----
@@ -211,27 +146,20 @@ BM_YearSlotLoopDense(benchmark::State &state)
 BENCHMARK(BM_YearSlotLoopDense)->Arg(40)->Unit(benchmark::kMillisecond);
 
 void
-BM_YearSlotLoopFactorized(benchmark::State &state)
-{
-    benchYearSlotLoop(state, KernelMode::Factorized);
-}
-BENCHMARK(BM_YearSlotLoopFactorized)
-    ->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_YearSlotLoopStreaming(benchmark::State &state)
 {
-    benchYearSlotLoop(state, KernelMode::Streaming);
+    // Auto resolves to streaming on the analytic matrix; the
+    // kernel=streaming label records it.
+    benchYearSlotLoop(state, KernelMode::Auto);
 }
 BENCHMARK(BM_YearSlotLoopStreaming)
     ->Arg(40)
     ->Unit(benchmark::kMillisecond);
 
-// ---- End-to-end campaign: dense vs. factorized engine hot path. ----
+// ---- End-to-end campaign: dense vs. streaming engine hot path. ----
 
 void
-benchCampaign(benchmark::State &state, ThermalComputeMode mode)
+benchCampaign(benchmark::State &state, KernelMode mode)
 {
     auto config = core::SimulationConfig::paperDefault();
     config.thermalMode = mode;
@@ -270,21 +198,14 @@ benchCampaign(benchmark::State &state, ThermalComputeMode mode)
 void
 BM_CampaignDense(benchmark::State &state)
 {
-    benchCampaign(state, ThermalComputeMode::Dense);
+    benchCampaign(state, KernelMode::Dense);
 }
 BENCHMARK(BM_CampaignDense)->Unit(benchmark::kMillisecond);
 
 void
-BM_CampaignFactorized(benchmark::State &state)
-{
-    benchCampaign(state, ThermalComputeMode::Factorized);
-}
-BENCHMARK(BM_CampaignFactorized)->Unit(benchmark::kMillisecond);
-
-void
 BM_CampaignStreaming(benchmark::State &state)
 {
-    benchCampaign(state, ThermalComputeMode::Streaming);
+    benchCampaign(state, KernelMode::Auto);
 }
 BENCHMARK(BM_CampaignStreaming)->Unit(benchmark::kMillisecond);
 

@@ -70,21 +70,16 @@ struct SimulationConfig
     thermal::HeatDistributionMatrix::AnalyticParams matrixParams{};
     std::size_t matrixHorizonMinutes = 10;
     /**
-     * Rise-computation kernel. Auto picks the streaming recurrence when
-     * the exponential-mode fit is within factorization.streamingTolerance
-     * (the analytic matrix fits exactly, so campaigns normally stream),
-     * the factorized walk when only the low-rank truncation holds, and
-     * the dense reference convolution otherwise. Dense / Factorized /
-     * Streaming force a specific kernel (Streaming falls back to
-     * Factorized, with a warning, when the fit misses tolerance).
-     * Scenario key: thermal.kernel = auto|dense|factorized|streaming.
+     * Rise-computation kernel, Auto or Dense. Auto runs the streaming
+     * recurrence when the factorization and exponential-mode fit are
+     * within the factorization tolerances (the analytic matrix fits
+     * exactly, so campaigns stream) and falls back to the dense
+     * reference convolution, with a warning, otherwise. Dense forces
+     * the reference. Scenario key: thermal.kernel = auto|dense.
      */
     thermal::KernelMode thermalMode = thermal::KernelMode::Auto;
-    /**
-     * Truncation tolerance / rank cap for the factorized kernel and the
-     * fit-residual admission knob for the streaming kernel
-     * (thermal.streamingTolerance).
-     */
+    /** Truncation and fit-residual tolerances gating Auto's streaming
+     * kernel (no scenario key). */
     thermal::FactorizationOptions factorization{};
 
     // ---- Operator / emergency protocol ----

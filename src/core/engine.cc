@@ -97,8 +97,8 @@ Simulation::makeThermalEnvironment(const SimulationConfig &config,
                     config.matrixHorizonMinutes);
             });
         // The factorization is the single most expensive thermal setup
-        // step and is shared by the factorized and streaming kernels;
-        // the dense kernel never computes one, so do not force it here.
+        // step and only feeds the streaming kernel's Prony fit; the
+        // dense kernel never computes one, so do not force it here.
         std::shared_ptr<const thermal::TemporalFactorization> factors;
         if (config.thermalMode != thermal::KernelMode::Dense) {
             factors = cache.factorization(

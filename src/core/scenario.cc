@@ -135,12 +135,10 @@ tryApplyScenario(const KeyValueConfig &kv, SimulationConfig &config,
             return ECOLO_ERROR(
                 util::ErrorCode::ParseError, kv.locate("thermal.kernel"),
                 ": unknown thermal.kernel '", *v,
-                "' (expected auto|dense|factorized|streaming)");
+                "' (expected auto|dense)");
         }
         config.thermalMode = mode;
     }
-    ECOLO_TRY_VOID(dbl("thermal.streamingTolerance",
-                       config.factorization.streamingTolerance));
 
     ECOLO_TRY_VOID(dbl("trace.baseUtilization",
                        config.diurnalParams.baseUtilization));

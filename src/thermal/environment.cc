@@ -62,11 +62,11 @@ ThermalEnvironment::applyLaneStep(const std::vector<Kilowatts> &server_heat,
 Celsius
 ThermalEnvironment::inletTemperature(std::size_t i) const
 {
-    if (i < riseCache_.size()) {
-        return cooling_.supplyTemperature() +
-               CelsiusDelta(riseCache_[i]);
-    }
-    return cooling_.supplyTemperature() + matrixModel_.inletRise(i);
+    // An empty cache means no step since construction or reset, so the
+    // power history is all zero and the matrix adds no rise.
+    if (i >= riseCache_.size())
+        return cooling_.supplyTemperature();
+    return cooling_.supplyTemperature() + CelsiusDelta(riseCache_[i]);
 }
 
 Celsius

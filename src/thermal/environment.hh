@@ -38,8 +38,8 @@ class ThermalEnvironment
      *        watts of heat per kelvin of inlet->outlet temperature rise
      *        (m_dot * c_p). The default (15 W/K) gives the paper's
      *        "outlet typically 10+ C above inlet" at ~150 W per server.
-     * @param mode rise-computation kernel (Auto picks streaming /
-     *        factorized / dense by accuracy and cost; see KernelMode)
+     * @param mode rise-computation kernel (Auto streams when the fit is
+     *        admitted and falls back to dense; see KernelMode)
      * @param factorization truncation + streaming-fit tolerances
      * @param precomputed_factorization optional shared fit of the same
      *        matrix/options (see MatrixThermalModel); skips the

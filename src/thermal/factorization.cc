@@ -351,8 +351,8 @@ TemporalFactorization::compute(const HeatDistributionMatrix &matrix,
     // Exponential-mode fits per factor, and the streaming fit residual:
     // each factor's misfit scaled by its singular value (sigma_r^2 ==
     // ||U_r||_F^2 since U_r = B v_r). The truncation residual is NOT
-    // included -- the streaming kernel replaces the *factorized* walk, so
-    // its admission gate measures only the error the fits add on top.
+    // included -- truncation is gated separately by relTolerance, so the
+    // streaming admission gate measures only the error the fits add on top.
     // (suffix[rank] is also a cancellation-limited estimate: for the
     // analytic rank-1 tensor it floors near sqrt(eps) while the actual
     // reconstruction is exact to ~1e-12, and gating on it would wrongly

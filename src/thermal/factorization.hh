@@ -14,21 +14,20 @@
  *
  * via an eigendecomposition of the H x H Gram matrix of the mode-3
  * unfolding (H = horizon, typically 10), which is exactly the truncated
- * SVD of that unfolding. MatrixThermalModel uses the factors to turn the
- * O(N^2 H) per-minute convolution into R temporally-smoothed power states
- * (O(N H) each) followed by R N x N GEMVs -- O(R (N H + N^2)) total.
+ * SVD of that unfolding.
  *
- * On top of the factors this module also fits each temporal factor with a
- * short sum of exponential modes, V_r[tau] ~= sum_m w_m * lambda_m^tau
- * (Prony's method). A factor that admits such a fit turns the smoothed
- * power state into a *streaming recurrence* -- each mode accumulator
- * updates as a <- lambda * a + p, with an exact window-tail correction --
- * so MatrixThermalModel::pushPowers advances the thermal state in O(N)
- * per mode with no history traversal at all (KernelMode::Streaming). The
- * analytic default kernel, increments of 1 - exp(-t/T), is *exactly* one
- * exponential mode with lambda = exp(-1/T), so the fit is machine-exact
- * there; CFD-extracted factors fall back to the factorized walk whenever
- * the combined fit residual exceeds FactorizationOptions::streamingTolerance.
+ * The factors only feed the next step: each temporal factor is fitted
+ * with a short sum of exponential modes, V_r[tau] ~= sum_m w_m *
+ * lambda_m^tau (Prony's method). A factor that admits such a fit turns
+ * its temporally-smoothed power state into a *streaming recurrence* --
+ * each mode accumulator updates as a <- lambda * a + p, with an exact
+ * window-tail correction -- so MatrixThermalModel::pushPowers advances
+ * the thermal state in O(N) per mode with no history traversal at all,
+ * plus R N x N GEMVs (KernelMode::Streaming). The analytic default
+ * kernel, increments of 1 - exp(-t/T), is *exactly* one exponential mode
+ * with lambda = exp(-1/T), so the fit is machine-exact there; a tensor
+ * whose combined fit residual exceeds
+ * FactorizationOptions::streamingTolerance runs the dense convolution.
  */
 
 #ifndef ECOLO_THERMAL_FACTORIZATION_HH
@@ -55,10 +54,8 @@ struct FactorizationOptions
     /**
      * Admission bound for the streaming kernel: the relative error the
      * exponential-mode fits add on top of the factorized reconstruction
-     * must stay below this for KernelMode::Streaming (or Auto's streaming
-     * preference) to engage. The analytic kernel fits at ~1e-16; CFD
-     * tensors that fit worse silently use the factorized walk instead.
-     * Scenario key: thermal.streamingTolerance.
+     * must stay below this for Auto to stream. The analytic kernel fits
+     * at ~1e-16; tensors that fit worse run the dense convolution.
      */
     double streamingTolerance = 1e-9;
     /** Most exponential modes tried per temporal factor (Prony order). */

@@ -13,27 +13,22 @@ namespace ecolo::thermal {
 namespace {
 
 /**
- * The factorized kernel must beat the dense convolution by a real margin
+ * The streaming kernel must beat the dense convolution by a real margin
  * before it is selected: rank * (N H + N^2) multiply-adds per minute vs.
  * the dense N^2 H.
  */
-constexpr double kFactorizedCostAdvantage = 0.75;
+constexpr double kStreamingCostAdvantage = 0.75;
 
-/** Stable ids for the checkpoint section (never reorder). */
+/** Stable ids for the checkpoint section (never reuse: 2 was the retired
+ * factorized kernel, so its checkpoints fail to load). */
+constexpr std::uint32_t kDenseStateId = 1;
+constexpr std::uint32_t kStreamingStateId = 3;
+
 constexpr std::uint32_t
 kernelModeId(KernelMode mode)
 {
-    switch (mode) {
-      case KernelMode::Auto:
-        return 0;
-      case KernelMode::Dense:
-        return 1;
-      case KernelMode::Factorized:
-        return 2;
-      case KernelMode::Streaming:
-        return 3;
-    }
-    return 1;
+    return mode == KernelMode::Streaming ? kStreamingStateId
+                                         : kDenseStateId;
 }
 
 } // namespace
@@ -46,8 +41,6 @@ kernelModeName(KernelMode mode)
         return "auto";
       case KernelMode::Dense:
         return "dense";
-      case KernelMode::Factorized:
-        return "factorized";
       case KernelMode::Streaming:
         return "streaming";
     }
@@ -57,8 +50,7 @@ kernelModeName(KernelMode mode)
 bool
 parseKernelMode(std::string_view text, KernelMode &out)
 {
-    for (KernelMode mode : {KernelMode::Auto, KernelMode::Dense,
-                            KernelMode::Factorized, KernelMode::Streaming}) {
+    for (KernelMode mode : {KernelMode::Auto, KernelMode::Dense}) {
         if (text == kernelModeName(mode)) {
             out = mode;
             return true;
@@ -240,84 +232,64 @@ MatrixThermalModel::MatrixThermalModel(
     HeatDistributionMatrix matrix, KernelMode mode,
     FactorizationOptions factorization,
     std::shared_ptr<const TemporalFactorization> precomputed)
-    : matrix_(std::move(matrix)), requested_(mode),
+    : matrix_(std::move(matrix)),
       history_(matrix_.horizon() * matrix_.numServers(), 0.0)
 {
-    if (mode == KernelMode::Dense) {
-        active_ = KernelMode::Dense;
+    ECOLO_ASSERT(mode == KernelMode::Auto || mode == KernelMode::Dense,
+                 "thermal kernel must be requested as auto or dense, not ",
+                 kernelModeName(mode));
+    if (mode == KernelMode::Dense)
         return;
-    }
 
     const double n = static_cast<double>(matrix_.numServers());
     const double h = static_cast<double>(matrix_.horizon());
     // A precomputed factorization (the campaign setup cache) must have
     // been computed from the same matrix with the same options, so
-    // copying it is bit-identical to recomputing -- compute() is
+    // reading it is bit-identical to recomputing -- compute() is
     // deterministic.
-    TemporalFactorization factors =
-        precomputed ? *precomputed
-                    : TemporalFactorization::compute(matrix_, factorization);
-    const double factorized_cost =
+    TemporalFactorization computed;
+    if (!precomputed)
+        computed = TemporalFactorization::compute(matrix_, factorization);
+    const TemporalFactorization &factors =
+        precomputed ? *precomputed : computed;
+    const double streaming_cost =
         static_cast<double>(factors.rank()) * (n * h + n * n);
     const double dense_cost = n * n * h;
-    const bool factorized_worthwhile =
+    const bool admitted =
         factors.relError() <= factorization.relTolerance &&
-        factorized_cost <= kFactorizedCostAdvantage * dense_cost;
-    const bool streaming_fits =
+        streaming_cost <= kStreamingCostAdvantage * dense_cost &&
         factors.streamingRelError() <= factorization.streamingTolerance;
-
-    switch (mode) {
-      case KernelMode::Factorized:
-        // Forced: exact at full rank by construction, so always honored.
-        factors_ = std::move(factors);
-        active_ = KernelMode::Factorized;
-        break;
-      case KernelMode::Streaming:
-        factors_ = std::move(factors);
-        if (streaming_fits) {
-            active_ = KernelMode::Streaming;
-        } else {
-            ECOLO_WARN_ONCE(
-                "streaming kernel requested but the exponential fit "
-                "misses tolerance (", factors_.streamingRelError(), " > ",
-                factorization.streamingTolerance,
-                "); falling back to the factorized walk");
-            active_ = KernelMode::Factorized;
-        }
-        break;
-      case KernelMode::Auto:
-      default:
-        if (factorized_worthwhile) {
-            factors_ = std::move(factors);
-            active_ = streaming_fits ? KernelMode::Streaming
-                                     : KernelMode::Factorized;
-        } else {
-            active_ = KernelMode::Dense;
-        }
-        break;
+    if (!admitted) {
+        ECOLO_WARN_ONCE(
+            "auto thermal kernel falls back to the dense convolution: "
+            "rank ", factors.rank(), " factorization error ",
+            factors.relError(), " (tolerance ", factorization.relTolerance,
+            "), exponential-fit error ", factors.streamingRelError(),
+            " (tolerance ", factorization.streamingTolerance, ")");
+        return;
     }
-    if (active_ == KernelMode::Streaming)
-        initStreamingState();
+    active_ = KernelMode::Streaming;
+    initStreamingState(factors);
 }
 
 void
-MatrixThermalModel::initStreamingState()
+MatrixThermalModel::initStreamingState(const TemporalFactorization &factors)
 {
     const std::size_t n = matrix_.numServers();
-    const std::size_t rank = factors_.rank();
+    const std::size_t rank = factors.rank();
     const double horizon = static_cast<double>(matrix_.horizon());
 
     rankModeBegin_.assign(rank + 1, 0);
     for (std::size_t r = 0; r < rank; ++r) {
         rankModeBegin_[r + 1] =
-            rankModeBegin_[r] + factors_.temporalFit(r).modes.size();
+            rankModeBegin_[r] + factors.temporalFit(r).modes.size();
     }
     const std::size_t total_modes = rankModeBegin_[rank];
     modeDecay_.resize(total_modes);
     modeTail_.resize(total_modes);
     modeWeight_.resize(total_modes);
     for (std::size_t r = 0; r < rank; ++r) {
-        const auto &modes = factors_.temporalFit(r).modes;
+        const auto &modes = factors.temporalFit(r).modes;
         for (std::size_t m = 0; m < modes.size(); ++m) {
             const std::size_t q = rankModeBegin_[r] + m;
             modeDecay_[q] = modes[m].decay;
@@ -328,7 +300,7 @@ MatrixThermalModel::initStreamingState()
     modeAccum_.assign(total_modes * n, 0.0);
     spatialT_.assign(rank * n * n, 0.0);
     for (std::size_t r = 0; r < rank; ++r) {
-        const double *u = factors_.spatial(r).data();
+        const double *u = factors.spatial(r).data();
         double *ut = &spatialT_[r * n * n];
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j)
@@ -371,22 +343,6 @@ MatrixThermalModel::pushPowers(const std::vector<Kilowatts> &powers)
         updateStreamingRises();
 }
 
-CelsiusDelta
-MatrixThermalModel::inletRise(std::size_t i) const
-{
-    const std::size_t n = matrix_.numServers();
-    const std::size_t horizon = matrix_.horizon();
-    double rise = 0.0;
-    for (std::size_t tau = 0; tau < filled_; ++tau) {
-        // tau = 0 is the most recently pushed vector.
-        const std::size_t pos = (head_ + horizon - 1 - tau) % horizon;
-        const double *powers = &history_[pos * n];
-        for (std::size_t j = 0; j < n; ++j)
-            rise += matrix_.coeff(i, j, tau) * powers[j];
-    }
-    return CelsiusDelta(rise);
-}
-
 void
 MatrixThermalModel::computeAllRises(std::vector<double> &rises_out) const
 {
@@ -395,10 +351,7 @@ MatrixThermalModel::computeAllRises(std::vector<double> &rises_out) const
         rises_out.assign(streamRises_.begin(), streamRises_.end());
         return;
     }
-    if (active_ == KernelMode::Factorized)
-        computeAllRisesFactorized(rises_out);
-    else
-        computeAllRisesDense(rises_out);
+    computeAllRisesDense(rises_out);
 }
 
 void
@@ -421,46 +374,10 @@ MatrixThermalModel::computeAllRisesDense(std::vector<double> &rises_out)
 }
 
 void
-MatrixThermalModel::computeAllRisesFactorized(
-    std::vector<double> &rises_out) const
-{
-    const std::size_t n = matrix_.numServers();
-    const std::size_t horizon = matrix_.horizon();
-    const std::size_t rank = factors_.rank();
-
-    // Temporally-smoothed power states s_r[j] = sum_tau V_r[tau] P_j(t-tau).
-    smoothed_.assign(rank * n, 0.0);
-    for (std::size_t tau = 0; tau < filled_; ++tau) {
-        const std::size_t pos = (head_ + horizon - 1 - tau) % horizon;
-        const double *powers = &history_[pos * n];
-        for (std::size_t r = 0; r < rank; ++r) {
-            const double k = factors_.temporal(r)[tau];
-            double *s = &smoothed_[r * n];
-            for (std::size_t j = 0; j < n; ++j)
-                s[j] += k * powers[j];
-        }
-    }
-
-    // rises = sum_r U_r * s_r (R GEMVs).
-    rises_out.assign(n, 0.0);
-    for (std::size_t r = 0; r < rank; ++r) {
-        const double *u = factors_.spatial(r).data();
-        const double *s = &smoothed_[r * n];
-        for (std::size_t i = 0; i < n; ++i) {
-            const double *row = &u[i * n];
-            double acc = 0.0;
-            for (std::size_t j = 0; j < n; ++j)
-                acc += row[j] * s[j];
-            rises_out[i] += acc;
-        }
-    }
-}
-
-void
 MatrixThermalModel::updateStreamingRises()
 {
     const std::size_t n = matrix_.numServers();
-    const std::size_t rank = factors_.rank();
+    const std::size_t rank = factorizationRank();
     double *rises = streamRises_.data();
     std::fill(rises, rises + n, 0.0);
     for (std::size_t r = 0; r < rank; ++r) {
@@ -545,13 +462,10 @@ MatrixThermalModel::loadState(util::StateReader &reader)
     reader.tag("THS2");
     const std::uint32_t saved_mode = reader.u32();
     if (reader.ok() && saved_mode != kernelModeId(active_)) {
-        const char *saved_name = "unknown";
-        for (KernelMode mode :
-             {KernelMode::Dense, KernelMode::Factorized,
-              KernelMode::Streaming}) {
-            if (saved_mode == kernelModeId(mode))
-                saved_name = kernelModeName(mode);
-        }
+        const char *saved_name = saved_mode == kDenseStateId ? "dense"
+                                 : saved_mode == kStreamingStateId
+                                     ? "streaming"
+                                     : "unknown";
         reader.fail(ECOLO_ERROR(
             util::ErrorCode::StateError,
             "thermal kernel mode mismatch: checkpoint was written under "

@@ -11,21 +11,21 @@
  * temperature plus the convolution of all servers' recent power with h.
  *
  * The per-minute convolution is the hot path of every year-long campaign.
- * MatrixThermalModel therefore factorizes the tensor (see
- * thermal/factorization.hh) whenever it is separable enough: rises become
- * R temporally-smoothed power states plus R N x N GEMVs, O(R (N H + N^2))
- * instead of O(N^2 H) -- an exact rank-1 split for the analytic default,
- * a truncated low-rank one for CFD-extracted tensors, and a dense
- * fallback otherwise. Selection is automatic; call sites are unchanged.
+ * MatrixThermalModel therefore runs one of two kernels. The dense
+ * O(N^2 H) convolution is the reference oracle. The streaming kernel
+ * factorizes the tensor into R separable terms (see
+ * thermal/factorization.hh) and fits each temporal factor with
+ * exponential modes (see ExponentialFit); each mode is then an
+ * accumulator advanced inside pushPowers --
+ * a <- lambda a + p(t) - lambda^H p(t-H), with the departing ring slot
+ * supplying the exact window tail -- so computeAllRises returns a cached
+ * vector with *no history traversal at all*: O(N modes) update plus R
+ * N x N GEMVs per slot (KernelMode::Streaming).
  *
- * When each temporal factor additionally admits an exponential-mode fit
- * (see ExponentialFit), the smoothed states become streaming accumulators
- * advanced inside pushPowers -- a <- lambda a + p(t) - lambda^H p(t-H),
- * with the departing ring slot supplying the exact window tail -- and
- * computeAllRises returns a cached vector with *no history traversal at
- * all*: O(N modes) update plus the unavoidable R GEMVs per slot
- * (KernelMode::Streaming). Admission is gated on the combined fit
- * residual, so CFD tensors that fit poorly keep the factorized walk.
+ * Auto streams when the factorization and the mode fit are both within
+ * tolerance and the rank makes it cheaper than dense; the analytic default
+ * is exactly one mode, so it always streams. A tensor that misses falls
+ * back to dense, with a warning.
  */
 
 #ifndef ECOLO_THERMAL_HEAT_MATRIX_HH
@@ -125,22 +125,21 @@ class HeatDistributionMatrix
     mutable bool gainsDirty_ = true;
 };
 
-/** How MatrixThermalModel computes rises. */
+/** How MatrixThermalModel computes rises. Callers request Auto or Dense;
+ * Streaming is only ever reported, by activeKernel(). The numeric values
+ * of Auto and Dense feed cache and lane keys, so never reorder them. */
 enum class KernelMode
 {
-    Auto,       //!< streaming when exact enough, else factorized, else dense
-    Dense,      //!< always the reference O(N^2 H) convolution
-    Factorized, //!< force the low-rank history-walk kernel
-    Streaming,  //!< recurrent O(N modes) kernel; falls back when unfit
+    Auto = 0,  //!< streaming when the fit is admitted, else dense
+    Dense = 1, //!< always the reference O(N^2 H) convolution
+    Streaming, //!< the recurrent O(N modes) kernel Auto resolved to
 };
-
-/** Backward-compatible alias: pre-streaming call sites used this name. */
-using ThermalComputeMode = KernelMode;
 
 /** Stable lowercase name ("auto", "dense", ...) for messages and keys. */
 const char *kernelModeName(KernelMode mode);
 
-/** Parse a kernelModeName spelling; false (out untouched) on junk. */
+/** Parse a requestable kernel ("auto" or "dense"); false (out
+ * untouched) on anything else. */
 bool parseKernelMode(std::string_view text, KernelMode &out);
 
 /**
@@ -152,11 +151,11 @@ class MatrixThermalModel
 {
   public:
     /**
-     * `precomputed`, when set, must be the result of
-     * TemporalFactorization::compute over the same matrix and options;
-     * the model copies it instead of re-running the fit (compute() is
-     * deterministic, so behavior is bit-identical). Campaign drivers
-     * use this to factorize a shared heat tensor once.
+     * `mode` is Auto or Dense. `precomputed`, when set, must be the
+     * result of TemporalFactorization::compute over the same matrix and
+     * options; the model reads it instead of re-running the fit
+     * (compute() is deterministic, so behavior is bit-identical).
+     * Campaign runners use this to factorize a shared heat tensor once.
      */
     explicit MatrixThermalModel(
         HeatDistributionMatrix matrix,
@@ -171,13 +170,8 @@ class MatrixThermalModel
      * consumes both the new vector and the ring slot it overwrites). */
     void pushPowers(const std::vector<Kilowatts> &powers);
 
-    /** Inlet rise of server i implied by the buffered history (always the
-     * dense per-server walk; use computeAllRises for the fast path). */
-    CelsiusDelta inletRise(std::size_t i) const;
-
-    /** Compute every server's inlet rise in one pass (cheaper than
-     * calling inletRise per server; uses the factorized kernel when one
-     * was selected at construction). */
+    /** Every server's inlet rise implied by the buffered history, from
+     * the active kernel. */
     void computeAllRises(std::vector<double> &rises_out) const;
 
     /** Largest inlet rise across servers. */
@@ -201,20 +195,12 @@ class MatrixThermalModel
 
     const HeatDistributionMatrix &matrix() const { return matrix_; }
 
-    /** The kernel actually running (after Auto selection / fallback). */
+    /** The kernel actually running: Streaming or Dense. */
     KernelMode activeKernel() const { return active_; }
 
-    /** The kernel the caller asked for at construction. */
-    KernelMode requestedKernel() const { return requested_; }
-
-    /** True when a factor-based kernel (factorized or streaming) is
-     * active (introspection; the dense walk is the alternative). */
-    bool usesFactorizedKernel() const
-    { return active_ != KernelMode::Dense; }
-
-    /** Rank of the active factorization (0 on the dense path). */
+    /** Rank of the streaming factorization (0 on the dense path). */
     std::size_t factorizationRank() const
-    { return active_ != KernelMode::Dense ? factors_.rank() : 0; }
+    { return rankModeBegin_.empty() ? 0 : rankModeBegin_.size() - 1; }
 
     /** Total exponential modes across ranks (0 unless streaming). */
     std::size_t streamingModeCount() const { return modeDecay_.size(); }
@@ -230,17 +216,14 @@ class MatrixThermalModel
   private:
     friend class LaneThermalBank;
     void computeAllRisesDense(std::vector<double> &rises_out) const;
-    void computeAllRisesFactorized(std::vector<double> &rises_out) const;
-    void initStreamingState();
+    void initStreamingState(const TemporalFactorization &factors);
     void updateStreamingRises();
 
     HeatDistributionMatrix matrix_;
-    TemporalFactorization factors_;
-    KernelMode requested_ = KernelMode::Auto;
     KernelMode active_ = KernelMode::Dense;
 
     /** Power ring, [slot][server] in one contiguous block (SoA) so the
-     * dense/factorized walks stride unit and auto-vectorize. */
+     * dense walk strides unit and auto-vectorizes. */
     std::vector<double> history_;
     std::size_t head_ = 0; //!< next slot index to write
     std::size_t filled_ = 0;
@@ -262,7 +245,6 @@ class MatrixThermalModel
     std::vector<double> pushScratch_; //!< new powers as raw kW
     std::vector<double> streamSum_;   //!< per-rank combined state [j]
 
-    mutable std::vector<double> smoothed_; //!< [r][j] factorized states
     mutable std::vector<double> riseScratch_; //!< maxInletRise buffer
 };
 

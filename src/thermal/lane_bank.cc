@@ -14,7 +14,7 @@ LaneThermalBank::configure(const MatrixThermalModel &reference)
                  "lane bank requires the streaming kernel");
     n_ = reference.matrix_.numServers();
     horizon_ = reference.matrix_.horizon();
-    rank_ = reference.factors_.rank();
+    rank_ = reference.factorizationRank();
     head_ = reference.head_;
     filled_ = reference.filled_;
     modeDecay_ = reference.modeDecay_;

@@ -162,6 +162,38 @@ TEST(Scenario, TryApplyReportsStructuredErrors)
               std::string::npos);
 }
 
+TEST(Scenario, ThermalKernelAcceptsOnlyAutoOrDense)
+{
+    auto config = SimulationConfig::paperDefault();
+    applyScenario(parse("thermal.kernel = dense\n"), config);
+    EXPECT_EQ(config.thermalMode, thermal::KernelMode::Dense);
+
+    std::istringstream in("seed = 3\nthermal.kernel = factorized\n");
+    const auto kv = KeyValueConfig::tryParse(in, "site.cfg");
+    ASSERT_TRUE(kv.ok());
+    auto fresh = SimulationConfig::paperDefault();
+    const auto result = tryApplyScenario(kv.value(), fresh);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, util::ErrorCode::ParseError);
+    EXPECT_NE(result.error().message.find("site.cfg:2"), std::string::npos)
+        << result.error().message;
+    EXPECT_NE(result.error().message.find("auto|dense"), std::string::npos)
+        << result.error().message;
+}
+
+TEST(Scenario, StreamingToleranceKeyIsUnknown)
+{
+    auto config = SimulationConfig::paperDefault();
+    const auto result = tryApplyScenario(
+        parse("thermal.streamingTolerance = 1e-6\n"), config);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, util::ErrorCode::ParseError);
+    EXPECT_NE(result.error().message.find("unknown scenario key"),
+              std::string::npos);
+    EXPECT_NE(result.error().message.find("thermal.streamingTolerance"),
+              std::string::npos);
+}
+
 TEST(Scenario, TryLoadMissingFileIsIoError)
 {
     const auto result = tryLoadScenarioFile("/nonexistent/site.cfg");

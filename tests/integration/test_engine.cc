@@ -104,22 +104,22 @@ TEST(Engine, DeterministicForSameSeed)
         EXPECT_DOUBLE_EQ(trace_a[i], trace_b[i]);
 }
 
-TEST(Engine, FactorizedThermalModeMatchesDense)
+TEST(Engine, StreamingThermalModeMatchesDense)
 {
-    // The paper-default analytic matrix is exactly separable, so Auto
-    // runs the factorized kernel; the campaign trajectory must match the
-    // dense reference to rounding error (no behavioral drift).
+    // The paper-default analytic matrix is exactly one exponential mode,
+    // so Auto runs the streaming kernel; the campaign trajectory must
+    // match the dense reference to rounding error (no behavioral drift).
     auto dense_config = SimulationConfig::paperDefault();
-    dense_config.thermalMode = thermal::ThermalComputeMode::Dense;
+    dense_config.thermalMode = thermal::KernelMode::Dense;
     auto auto_config = SimulationConfig::paperDefault();
     Simulation dense(dense_config,
                      makeMyopicPolicy(dense_config, Kilowatts(7.3)));
     Simulation fast(auto_config,
                     makeMyopicPolicy(auto_config, Kilowatts(7.3)));
-    EXPECT_FALSE(
-        dense.thermalEnvironment().matrixModel().usesFactorizedKernel());
-    EXPECT_TRUE(
-        fast.thermalEnvironment().matrixModel().usesFactorizedKernel());
+    EXPECT_EQ(dense.thermalEnvironment().matrixModel().activeKernel(),
+              thermal::KernelMode::Dense);
+    EXPECT_EQ(fast.thermalEnvironment().matrixModel().activeKernel(),
+              thermal::KernelMode::Streaming);
 
     std::vector<double> inlet_dense, inlet_fast;
     dense.setMinuteCallback([&](const MinuteRecord &r) {

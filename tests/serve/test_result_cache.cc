@@ -76,11 +76,7 @@ TEST(ServeResultCache, KeyChangesWithKernelMode)
         makeCacheKey(kv, "myopic", 7.4, 1440, thermal::KernelMode::Auto);
     const CacheKey as_dense =
         makeCacheKey(kv, "myopic", 7.4, 1440, thermal::KernelMode::Dense);
-    const CacheKey as_stream = makeCacheKey(
-        kv, "myopic", 7.4, 1440, thermal::KernelMode::Streaming);
     EXPECT_NE(as_auto.hash, as_dense.hash);
-    EXPECT_NE(as_auto.hash, as_stream.hash);
-    EXPECT_NE(as_dense.hash, as_stream.hash);
 }
 
 TEST(ServeResultCache, ParamBitsNotTextFeedTheKey)

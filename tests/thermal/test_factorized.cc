@@ -1,7 +1,8 @@
 /**
  * @file
- * Equivalence tests for the factorized thermal kernel and bit-identity
- * tests for the parallel CFD matrix extraction.
+ * Tests for the truncated factorization that feeds the streaming kernel,
+ * Auto's dense fallback for tensors the streaming kernel cannot admit,
+ * and bit-identity of the parallel CFD matrix extraction.
  */
 
 #include <cmath>
@@ -117,60 +118,32 @@ TEST(Factorization, ReconstructsTensorWithinTolerance)
     }
 }
 
-TEST(FactorizedModel, AnalyticModelSelectsFactorizedKernel)
-{
-    MatrixThermalModel model(
-        HeatDistributionMatrix::analyticDefault(layout()));
-    EXPECT_TRUE(model.usesFactorizedKernel());
-    EXPECT_EQ(model.factorizationRank(), 1u);
-}
-
 TEST(FactorizedModel, DenseModeDisablesFactorization)
 {
     MatrixThermalModel model(
         HeatDistributionMatrix::analyticDefault(layout()),
-        ThermalComputeMode::Dense);
-    EXPECT_FALSE(model.usesFactorizedKernel());
+        KernelMode::Dense);
+    EXPECT_EQ(model.activeKernel(), KernelMode::Dense);
     EXPECT_EQ(model.factorizationRank(), 0u);
-}
-
-TEST(FactorizedModel, RisesMatchDenseOverAttackTrace)
-{
-    auto matrix = HeatDistributionMatrix::analyticDefault(layout());
-    MatrixThermalModel dense(matrix, ThermalComputeMode::Dense);
-    MatrixThermalModel fast(std::move(matrix), ThermalComputeMode::Auto);
-    ASSERT_TRUE(fast.usesFactorizedKernel());
-
-    std::vector<double> dense_rises, fast_rises;
-    for (const auto &powers : attackTrace(dense.numServers(), 30)) {
-        dense.pushPowers(powers);
-        fast.pushPowers(powers);
-        dense.computeAllRises(dense_rises);
-        fast.computeAllRises(fast_rises);
-        ASSERT_EQ(dense_rises.size(), fast_rises.size());
-        for (std::size_t i = 0; i < dense_rises.size(); ++i)
-            EXPECT_NEAR(dense_rises[i], fast_rises[i], 1e-9);
-        EXPECT_NEAR(dense.maxInletRise().value(),
-                    fast.maxInletRise().value(), 1e-9);
-    }
 }
 
 TEST(FactorizedModel, LowRankRisesMatchDenseOverAttackTrace)
 {
+    // Rank 3 factorizes within tolerance, but 1/t and 1/t^2 are no short
+    // exponential sums: Auto cannot stream, so it runs the dense oracle
+    // itself and must match a forced-dense model bit for bit.
     auto matrix = rankThreeMatrix();
-    MatrixThermalModel dense(matrix, ThermalComputeMode::Dense);
-    MatrixThermalModel fast(std::move(matrix), ThermalComputeMode::Auto);
-    ASSERT_TRUE(fast.usesFactorizedKernel());
-    EXPECT_EQ(fast.factorizationRank(), 3u);
+    MatrixThermalModel dense(matrix, KernelMode::Dense);
+    MatrixThermalModel chosen(std::move(matrix), KernelMode::Auto);
+    ASSERT_EQ(chosen.activeKernel(), KernelMode::Dense);
 
-    std::vector<double> dense_rises, fast_rises;
+    std::vector<double> dense_rises, chosen_rises;
     for (const auto &powers : attackTrace(dense.numServers(), 30)) {
         dense.pushPowers(powers);
-        fast.pushPowers(powers);
+        chosen.pushPowers(powers);
         dense.computeAllRises(dense_rises);
-        fast.computeAllRises(fast_rises);
-        for (std::size_t i = 0; i < dense_rises.size(); ++i)
-            EXPECT_NEAR(dense_rises[i], fast_rises[i], 1e-9);
+        chosen.computeAllRises(chosen_rises);
+        ASSERT_EQ(dense_rises, chosen_rises);
     }
 }
 
@@ -192,8 +165,8 @@ TEST(FactorizedModel, FullRankTensorFallsBackToDense)
             }
         }
     }
-    MatrixThermalModel model(std::move(matrix), ThermalComputeMode::Auto);
-    EXPECT_FALSE(model.usesFactorizedKernel());
+    MatrixThermalModel model(std::move(matrix), KernelMode::Auto);
+    EXPECT_EQ(model.activeKernel(), KernelMode::Dense);
 }
 
 TEST(FactorizedModel, SteadyGainCacheMatchesDirectSums)

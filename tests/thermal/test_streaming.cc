@@ -2,7 +2,8 @@
  * @file
  * Tests for the streaming recurrent thermal kernel: exponential-mode
  * fitting (Prony), year-long equivalence against the dense reference,
- * fallback when the fit misses tolerance, and kernel-aware checkpointing.
+ * Auto's dense fallback when the fit misses tolerance, and kernel-aware
+ * checkpointing.
  */
 
 #include <cmath>
@@ -146,41 +147,53 @@ TEST(StreamingModel, AnalyticAutoSelectsStreamingKernel)
 {
     MatrixThermalModel model(
         HeatDistributionMatrix::analyticDefault(smallLayout()));
-    EXPECT_EQ(model.requestedKernel(), KernelMode::Auto);
     EXPECT_EQ(model.activeKernel(), KernelMode::Streaming);
-    EXPECT_TRUE(model.usesFactorizedKernel());
+    EXPECT_EQ(model.factorizationRank(), 1u);
     EXPECT_GE(model.streamingModeCount(), 1u);
 }
 
-TEST(StreamingModel, PoorFitFallsBackToFactorized)
+TEST(StreamingModel, PoorFitFallsBackToDense)
 {
     // A rank-1 tensor whose temporal kernel is 1/t: factorizes exactly,
-    // but no 3-term exponential sum reaches the streaming tolerance.
+    // but no 3-term exponential sum reaches the streaming tolerance, so
+    // Auto falls back to the dense oracle and matches it bit for bit.
     std::vector<double> kernel(10);
     for (std::size_t tau = 0; tau < kernel.size(); ++tau)
         kernel[tau] = 1.0 / static_cast<double>(tau + 1);
     auto matrix = rankOneMatrix(kernel);
 
-    MatrixThermalModel forced(matrix, KernelMode::Streaming);
-    EXPECT_EQ(forced.requestedKernel(), KernelMode::Streaming);
-    EXPECT_EQ(forced.activeKernel(), KernelMode::Factorized);
-    EXPECT_EQ(forced.streamingModeCount(), 0u);
-
+    MatrixThermalModel dense(matrix, KernelMode::Dense);
     MatrixThermalModel chosen(std::move(matrix), KernelMode::Auto);
-    EXPECT_EQ(chosen.activeKernel(), KernelMode::Factorized);
+    ASSERT_EQ(chosen.activeKernel(), KernelMode::Dense);
+    EXPECT_EQ(chosen.streamingModeCount(), 0u);
+    EXPECT_EQ(chosen.factorizationRank(), 0u);
+
+    ScheduleGenerator schedule(dense.numServers());
+    std::vector<double> dense_rises, chosen_rises;
+    for (int m = 0; m < 30; ++m) {
+        const auto &powers = schedule.next();
+        dense.pushPowers(powers);
+        chosen.pushPowers(powers);
+        dense.computeAllRises(dense_rises);
+        chosen.computeAllRises(chosen_rises);
+        ASSERT_EQ(dense_rises, chosen_rises);
+    }
 }
 
 TEST(StreamingModel, KernelModeNamesRoundTrip)
 {
-    for (KernelMode mode : {KernelMode::Auto, KernelMode::Dense,
-                            KernelMode::Factorized, KernelMode::Streaming}) {
-        KernelMode parsed = KernelMode::Dense;
+    for (KernelMode mode : {KernelMode::Auto, KernelMode::Dense}) {
+        KernelMode parsed = KernelMode::Streaming;
         ASSERT_TRUE(parseKernelMode(kernelModeName(mode), parsed));
         EXPECT_EQ(parsed, mode);
     }
-    KernelMode untouched = KernelMode::Factorized;
-    EXPECT_FALSE(parseKernelMode("warp-drive", untouched));
-    EXPECT_EQ(untouched, KernelMode::Factorized);
+    // Only auto and dense are requestable: streaming is what Auto
+    // resolves to, and the factorized kernel is gone.
+    for (const char *junk : {"factorized", "streaming", "warp-drive"}) {
+        KernelMode untouched = KernelMode::Dense;
+        EXPECT_FALSE(parseKernelMode(junk, untouched)) << junk;
+        EXPECT_EQ(untouched, KernelMode::Dense);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,7 +209,7 @@ TEST(StreamingModel, MatchesDenseOverYearLongRandomSchedule)
     // keeps bounded.
     auto matrix = HeatDistributionMatrix::analyticDefault(smallLayout());
     MatrixThermalModel dense(matrix, KernelMode::Dense);
-    MatrixThermalModel stream(std::move(matrix), KernelMode::Streaming);
+    MatrixThermalModel stream(std::move(matrix), KernelMode::Auto);
     ASSERT_EQ(stream.activeKernel(), KernelMode::Streaming);
 
     ScheduleGenerator schedule(dense.numServers());
@@ -235,8 +248,7 @@ TEST(StreamingModel, InexactFitStaysWithinLooseBound)
     FactorizationOptions loose;
     loose.streamingTolerance = 1e-6;
     MatrixThermalModel dense(matrix, KernelMode::Dense);
-    MatrixThermalModel stream(std::move(matrix), KernelMode::Streaming,
-                              loose);
+    MatrixThermalModel stream(std::move(matrix), KernelMode::Auto, loose);
     ASSERT_EQ(stream.activeKernel(), KernelMode::Streaming);
 
     ScheduleGenerator schedule(dense.numServers());
@@ -260,7 +272,7 @@ TEST(StreamingModel, InexactFitStaysWithinLooseBound)
 TEST(StreamingModel, ResetClearsRecurrenceState)
 {
     auto matrix = HeatDistributionMatrix::analyticDefault(smallLayout());
-    MatrixThermalModel model(std::move(matrix), KernelMode::Streaming);
+    MatrixThermalModel model(std::move(matrix), KernelMode::Auto);
     ASSERT_EQ(model.activeKernel(), KernelMode::Streaming);
 
     ScheduleGenerator schedule(model.numServers());
@@ -283,7 +295,7 @@ TEST(StreamingCheckpoint, ModelRoundTripContinuesBitIdentically)
 {
     const auto matrix =
         HeatDistributionMatrix::analyticDefault(smallLayout());
-    MatrixThermalModel original(matrix, KernelMode::Streaming);
+    MatrixThermalModel original(matrix, KernelMode::Auto);
     ASSERT_EQ(original.activeKernel(), KernelMode::Streaming);
 
     ScheduleGenerator warmup(original.numServers());
@@ -295,7 +307,7 @@ TEST(StreamingCheckpoint, ModelRoundTripContinuesBitIdentically)
     original.saveState(writer);
     ASSERT_TRUE(writer.good());
 
-    MatrixThermalModel resumed(matrix, KernelMode::Streaming);
+    MatrixThermalModel resumed(matrix, KernelMode::Auto);
     util::StateReader reader(state);
     resumed.loadState(reader);
     ASSERT_TRUE(reader.ok()) << reader.status().error().describe();
@@ -318,7 +330,7 @@ TEST(StreamingCheckpoint, KernelModeMismatchRejected)
 {
     const auto matrix =
         HeatDistributionMatrix::analyticDefault(smallLayout());
-    MatrixThermalModel stream(matrix, KernelMode::Streaming);
+    MatrixThermalModel stream(matrix, KernelMode::Auto);
     ASSERT_EQ(stream.activeKernel(), KernelMode::Streaming);
     ScheduleGenerator schedule(stream.numServers());
     for (int m = 0; m < 20; ++m)
@@ -338,11 +350,37 @@ TEST(StreamingCheckpoint, KernelModeMismatchRejected)
               std::string::npos);
 }
 
+TEST(StreamingCheckpoint, RetiredFactorizedKernelIdRejected)
+{
+    // Kernel id 2 belonged to the deleted factorized kernel. A section
+    // that carries it must fail to load under either live kernel rather
+    // than be misread.
+    const auto matrix =
+        HeatDistributionMatrix::analyticDefault(smallLayout());
+    for (KernelMode mode : {KernelMode::Auto, KernelMode::Dense}) {
+        std::stringstream state;
+        util::StateWriter writer(state);
+        writer.tag("THS2");
+        writer.u32(2);
+        writer.u64(matrix.horizon());
+        writer.u64(matrix.numServers());
+        ASSERT_TRUE(writer.good());
+
+        MatrixThermalModel model(matrix, mode);
+        util::StateReader reader(state);
+        model.loadState(reader);
+        ASSERT_FALSE(reader.ok()) << kernelModeName(mode);
+        EXPECT_EQ(reader.status().error().code,
+                  util::ErrorCode::StateError);
+        EXPECT_NE(reader.status().error().message.find("'unknown' kernel"),
+                  std::string::npos);
+    }
+}
+
 TEST(StreamingCheckpoint, SimulationResumesBitIdenticallyUnderStreaming)
 {
     auto config = core::SimulationConfig::paperDefault();
     config.seed = 4242;
-    config.thermalMode = KernelMode::Streaming;
     const auto make_policy = [&] {
         return core::makeMyopicPolicy(config, Kilowatts(7.4));
     };
@@ -358,6 +396,8 @@ TEST(StreamingCheckpoint, SimulationResumesBitIdenticallyUnderStreaming)
     };
 
     core::Simulation reference(config, make_policy());
+    ASSERT_EQ(reference.thermalEnvironment().matrixModel().activeKernel(),
+              KernelMode::Streaming);
     reference.run(600);
     const auto expected = tail(reference, 600);
 
@@ -383,7 +423,6 @@ TEST(StreamingCheckpoint, CrossKernelSimulationCheckpointRejected)
 {
     auto config = core::SimulationConfig::paperDefault();
     config.seed = 4242;
-    config.thermalMode = KernelMode::Streaming;
 
     std::stringstream checkpoint;
     {

@@ -7,9 +7,10 @@ Usage:
                      [--direction {lower,higher}]
 
 Compares every benchmark that reports the gated counter (``ns_per_slot``
-by default) in both files and exits 1 if any of them regressed by more
-than the threshold (default 15%). Exits 2 on usage or I/O errors, 0
-otherwise. ``--direction higher`` flips the regression test for
+by default) in the baseline and exits 1 if any of them regressed by more
+than the threshold (default 15%) or is missing from the current file, so
+a deleted or filtered-out benchmark cannot drop out of the gate. Exits 2
+on usage or I/O errors, 0 otherwise. ``--direction higher`` flips the regression test for
 throughput-style metrics (requests per second: a *drop* beyond the
 threshold fails).
 
@@ -125,11 +126,12 @@ def main(argv):
 
     unit = "x anchor" if args.normalize_by else "ns"
     regressions = []
+    missing = []
     width = max(len(name) for name in baseline)
     for name in sorted(baseline):
         if name not in current:
-            print("MISSING   %-*s  (in baseline only; not gated)"
-                  % (width, name))
+            print("MISSING   %-*s  (in baseline only)" % (width, name))
+            missing.append(name)
             continue
         before, after = baseline[name], current[name]
         delta_pct = (after / before - 1.0) * 100.0
@@ -148,6 +150,12 @@ def main(argv):
         print("NEW       %-*s  %12.4f %s"
               % (width, name, current[name], unit))
 
+    if missing:
+        print(
+            "\nbench_compare: %d baseline benchmark(s) missing from %s: %s"
+            % (len(missing), args.current, ", ".join(missing)),
+            file=sys.stderr,
+        )
     if regressions:
         print(
             "\nbench_compare: %d metric(s) regressed more than %.1f%%:"
@@ -160,9 +168,10 @@ def main(argv):
                 % (name, before, after, unit, delta_pct),
                 file=sys.stderr,
             )
+    if missing or regressions:
         return 1
     print("\nbench_compare: all %d gated metric(s) within %.1f%%"
-          % (len([n for n in baseline if n in current]), args.threshold))
+          % (len(baseline), args.threshold))
     return 0
 
 
