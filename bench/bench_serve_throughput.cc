@@ -424,7 +424,8 @@ BM_ServeCampaign64(benchmark::State &state)
             break;
         }
     }
-    if (batched && server.schedulerStats().batchesDispatched == 0) {
+    if (batched &&
+        telemetry::statValue(server.find("serve.batch.batches")) == 0.0) {
         state.SkipWithError("batched leg formed no batches");
         return;
     }
@@ -441,9 +442,8 @@ BM_ServeCampaign64(benchmark::State &state)
         state.counters[batched ? "serve_batched_requests_per_sec"
                                : "serve_scalar_requests_per_sec"] = rate;
     }
-    const auto occupancy = server.schedulerStats();
     state.counters["batch_max_occupancy"] =
-        static_cast<double>(occupancy.batchMaxOccupancy);
+        telemetry::statValue(server.find("serve.batch.max_occupancy"));
 }
 BENCHMARK(BM_ServeCampaign64)
     ->Arg(0)

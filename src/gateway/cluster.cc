@@ -79,14 +79,17 @@ WorkerPool::WorkerPool(std::vector<WorkerAddress> addresses,
                        Options options)
     : options_(options)
 {
-    for (auto &addr : addresses) {
-        Worker &w = workers_.emplace_back();
-        w.client = std::make_unique<serve::ServeClient>(addr.host,
-                                                        addr.port);
+    for (std::size_t i = 0; i < addresses.size(); ++i) {
+        Worker &w = workers_.emplace_back(
+            std::move(addresses[i]), stats_,
+            "gateway.worker." + std::to_string(i) + ".");
         if (options_.receiveTimeoutMs > 0)
             w.client->setReceiveTimeoutMs(options_.receiveTimeoutMs);
-        w.address = std::move(addr);
+        w.healthyNow.set(1.0);
     }
+    stats_.gauge("gateway.workers.total")
+        .set(static_cast<double>(workers_.size()));
+    workersHealthy_.set(static_cast<double>(workers_.size()));
 }
 
 WorkerPool::~WorkerPool() { stop(); }
@@ -183,7 +186,7 @@ WorkerPool::submit(const serve::RequestSpec &spec,
         ECOLO_ERROR(util::ErrorCode::IoError, "no workers configured");
     for (const std::size_t idx : order) {
         Worker &w = workers_[idx];
-        w.forwarded.fetch_add(1, std::memory_order_relaxed);
+        w.forwarded.inc();
         std::size_t attempts = 0;
         serve::ServeClient::AcceptedCallback wrapped;
         if (on_accepted) {
@@ -197,22 +200,22 @@ WorkerPool::submit(const serve::RequestSpec &spec,
             spec, options_.retry, &attempts, wrapped, on_status);
         result.attempts += attempts;
         if (outcome) {
-            w.answered.fetch_add(1, std::memory_order_relaxed);
+            w.answered.inc();
             if (outcome.value().cacheHit)
-                w.cacheHits.fetch_add(1, std::memory_order_relaxed);
+                w.cacheHits.inc();
             if (outcome.value().status ==
                 serve::OutcomeStatus::RetryLater)
-                w.retryLater.fetch_add(1, std::memory_order_relaxed);
-            w.healthy.store(true, std::memory_order_release);
+                w.retryLater.inc();
+            setHealthy(idx, true);
             result.outcome = outcome.take();
             result.worker = idx;
             return result;
         }
         // Transport exhausted on this worker: mark it out and walk to
         // the next replica in rendezvous order.
-        w.transportErrors.fetch_add(1, std::memory_order_relaxed);
-        w.failoversFrom.fetch_add(1, std::memory_order_relaxed);
-        w.healthy.store(false, std::memory_order_release);
+        w.transportErrors.inc();
+        w.failoversFrom.inc();
+        setHealthy(idx, false);
         ++result.failovers;
         last = outcome.error();
         debugLog("gateway: worker ", w.address.label(),
@@ -236,29 +239,17 @@ WorkerPool::stats(std::size_t worker)
     return workers_[worker].client->stats();
 }
 
-WorkerPool::WorkerCounters
-WorkerPool::counters(std::size_t worker) const
-{
-    const Worker &w = workers_[worker];
-    WorkerCounters c;
-    c.forwarded = w.forwarded.load(std::memory_order_relaxed);
-    c.answered = w.answered.load(std::memory_order_relaxed);
-    c.cacheHits = w.cacheHits.load(std::memory_order_relaxed);
-    c.retryLater = w.retryLater.load(std::memory_order_relaxed);
-    c.transportErrors =
-        w.transportErrors.load(std::memory_order_relaxed);
-    c.failoversFrom = w.failoversFrom.load(std::memory_order_relaxed);
-    c.probes = w.probes.load(std::memory_order_relaxed);
-    c.probeFailures = w.probeFailures.load(std::memory_order_relaxed);
-    c.healthy = w.healthy.load(std::memory_order_acquire);
-    return c;
-}
-
 void
 WorkerPool::setHealthy(std::size_t worker, bool healthy)
 {
-    workers_[worker].healthy.store(healthy,
-                                   std::memory_order_release);
+    Worker &w = workers_[worker];
+    // Only a real transition moves the gauges, so concurrent setters
+    // leave them agreeing with the flag.
+    if (w.healthy.exchange(healthy, std::memory_order_acq_rel) == healthy)
+        return;
+    const double delta = healthy ? 1.0 : -1.0;
+    w.healthyNow.add(delta);
+    workersHealthy_.add(delta);
 }
 
 void
@@ -274,17 +265,17 @@ WorkerPool::probeLoop()
             if (stopping_)
                 return;
         }
-        for (Worker &w : workers_) {
+        for (std::size_t i = 0; i < workers_.size(); ++i) {
+            Worker &w = workers_[i];
             if (w.healthy.load(std::memory_order_acquire))
                 continue;
-            w.probes.fetch_add(1, std::memory_order_relaxed);
+            w.probes.inc();
             if (w.client->stats()) {
-                w.healthy.store(true, std::memory_order_release);
+                setHealthy(i, true);
                 inform("gateway: worker ", w.address.label(),
                        " is healthy again");
             } else {
-                w.probeFailures.fetch_add(1,
-                                          std::memory_order_relaxed);
+                w.probeFailures.inc();
             }
         }
     }

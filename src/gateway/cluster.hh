@@ -20,8 +20,9 @@
  * within the healthy and unhealthy groups). A background probe thread
  * re-checks unhealthy workers with a STATS round-trip and restores them
  * on success, so a restarted worker rejoins without operator action.
- * All of it is counted per worker and surfaced through the gateway's
- * stats document.
+ * All of it is counted per worker in the pool's own telemetry registry
+ * (gateway.worker.N.*, gateway.workers.*), which the gateway's stats
+ * document dumps as is.
  */
 
 #ifndef ECOLO_GATEWAY_CLUSTER_HH
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "serve/client.hh"
+#include "telemetry/stats.hh"
 #include "util/result.hh"
 
 namespace ecolo::gateway {
@@ -139,43 +141,53 @@ class WorkerPool
     /** Fetch one worker's metrics document. */
     util::Result<std::string> stats(std::size_t worker);
 
-    /** Monotonic per-worker counters for the stats document. */
-    struct WorkerCounters
-    {
-        std::uint64_t forwarded = 0;   //!< submits attempted here
-        std::uint64_t answered = 0;    //!< conversations that resolved
-        std::uint64_t cacheHits = 0;
-        std::uint64_t retryLater = 0;  //!< terminal backpressure
-        std::uint64_t transportErrors = 0;
-        std::uint64_t failoversFrom = 0; //!< walks that skipped past it
-        std::uint64_t probes = 0;
-        std::uint64_t probeFailures = 0;
-        bool healthy = true;
-    };
-    WorkerCounters counters(std::size_t worker) const;
+    /**
+     * The pool's stats: per worker N, counters gateway.worker.N.
+     * {forwarded (submits attempted there), answered (conversations
+     * that resolved), cache_hits, retry_later (terminal backpressure),
+     * transport_errors, failovers_from (walks that skipped past it),
+     * probes, probe_failures} and the 0/1 gauge gateway.worker.N.healthy;
+     * pool-wide gauges gateway.workers.{total,healthy}.
+     */
+    const telemetry::Registry &stats() const { return stats_; }
 
-    /** Force the health bit (tests and the probe loop). */
+    /**
+     * Set the health bit (routing state) and its gauges. Every health
+     * change goes through here: tests, forwards, and the probe loop.
+     */
     void setHealthy(std::size_t worker, bool healthy);
 
   private:
     struct Worker
     {
         WorkerAddress address;
-        std::unique_ptr<serve::ServeClient> client;
+        telemetry::Registry &stats; //!< the pool's
+        std::string prefix;         //!< "gateway.worker.<index>."
+        std::unique_ptr<serve::ServeClient> client =
+            std::make_unique<serve::ServeClient>(address.host,
+                                                 address.port);
         std::atomic<bool> healthy{true};
-        std::atomic<std::uint64_t> forwarded{0};
-        std::atomic<std::uint64_t> answered{0};
-        std::atomic<std::uint64_t> cacheHits{0};
-        std::atomic<std::uint64_t> retryLater{0};
-        std::atomic<std::uint64_t> transportErrors{0};
-        std::atomic<std::uint64_t> failoversFrom{0};
-        std::atomic<std::uint64_t> probes{0};
-        std::atomic<std::uint64_t> probeFailures{0};
+        telemetry::Counter &forwarded = stats.counter(prefix + "forwarded");
+        telemetry::Counter &answered = stats.counter(prefix + "answered");
+        telemetry::Counter &cacheHits = stats.counter(prefix + "cache_hits");
+        telemetry::Counter &retryLater =
+            stats.counter(prefix + "retry_later");
+        telemetry::Counter &transportErrors =
+            stats.counter(prefix + "transport_errors");
+        telemetry::Counter &failoversFrom =
+            stats.counter(prefix + "failovers_from");
+        telemetry::Counter &probes = stats.counter(prefix + "probes");
+        telemetry::Counter &probeFailures =
+            stats.counter(prefix + "probe_failures");
+        telemetry::Gauge &healthyNow = stats.gauge(prefix + "healthy");
     };
 
     void probeLoop();
 
     const Options options_;
+    telemetry::Registry stats_;
+    telemetry::Gauge &workersHealthy_ =
+        stats_.gauge("gateway.workers.healthy");
     std::deque<Worker> workers_; //!< deque: Worker holds atomics
 
     std::mutex probeMutex_;

@@ -8,7 +8,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <sstream>
+#include <iterator>
 
 #include "serve/server.hh" // prepareSubmitPayload
 #include "telemetry/telemetry.hh"
@@ -379,11 +379,10 @@ Gateway::acceptReady()
         if (!accepted.value().has_value())
             return; // nothing pending
         util::TcpConnection sock = std::move(*accepted.value());
-        connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
+        connectionsAccepted_.inc();
         if (draining_.load(std::memory_order_acquire) ||
             conns_.size() >= options_.maxConnections) {
-            connectionsRejected_.fetch_add(1,
-                                           std::memory_order_relaxed);
+            connectionsRejected_.inc();
             const std::string body = errorBody(
                 "unavailable",
                 draining_.load(std::memory_order_acquire)
@@ -410,6 +409,7 @@ Gateway::acceptReady()
                         conn->sock.nativeHandle(), &ev) != 0)
             continue; // conn closes on scope exit
         conns_.emplace(conn->id, std::move(conn));
+        connectionsActive_.add(1.0);
     }
 }
 
@@ -422,6 +422,7 @@ Gateway::closeConn(std::uint64_t conn_id)
     (void)::epoll_ctl(epollFd_, EPOLL_CTL_DEL,
                       it->second->sock.nativeHandle(), nullptr);
     conns_.erase(it);
+    connectionsActive_.add(-1.0);
 }
 
 void
@@ -458,8 +459,7 @@ Gateway::onWritable(Conn &conn)
         if (chunk.value().wouldBlock)
             return; // EPOLLOUT stays armed
         conn.outOff += chunk.value().bytes;
-        bytesOut_.fetch_add(chunk.value().bytes,
-                            std::memory_order_relaxed);
+        bytesOut_.inc(chunk.value().bytes);
         conn.lastActivity = std::chrono::steady_clock::now();
     }
     conn.outBuf.clear();
@@ -485,8 +485,7 @@ Gateway::onReadable(Conn &conn)
             closeConn(conn.id);
             return;
         }
-        bytesIn_.fetch_add(chunk.value().bytes,
-                           std::memory_order_relaxed);
+        bytesIn_.inc(chunk.value().bytes);
         conn.lastActivity = std::chrono::steady_clock::now();
         conn.pending.append(buf, chunk.value().bytes);
         if (conn.busy && conn.pending.size() > kMaxPendingBytes) {
@@ -507,7 +506,7 @@ Gateway::consumePending(Conn &conn)
             conn.parser.feed(conn.pending.data(), conn.pending.size());
         conn.pending.erase(0, used);
         if (conn.parser.failed()) {
-            parseErrors_.fetch_add(1, std::memory_order_relaxed);
+            parseErrors_.inc();
             const int status = conn.parser.errorStatus();
             respond(conn, Route::Other,
                     std::chrono::steady_clock::now(), status,
@@ -520,7 +519,7 @@ Gateway::consumePending(Conn &conn)
             conn.parser.request().expectContinue &&
             !conn.continueSent) {
             conn.continueSent = true;
-            expectContinue_.fetch_add(1, std::memory_order_relaxed);
+            expectContinue_.inc();
             queueBytes(conn, continueResponse());
         }
         if (!conn.parser.complete())
@@ -571,7 +570,7 @@ Gateway::reapIdle()
             now - conn->lastActivity > limit)
             idle.push_back(id);
     for (const std::uint64_t id : idle) {
-        idleClosed_.fetch_add(1, std::memory_order_relaxed);
+        idleClosed_.inc();
         closeConn(id);
     }
 }
@@ -580,11 +579,11 @@ void
 Gateway::recordResponse(int status)
 {
     if (status >= 500)
-        responses5xx_.fetch_add(1, std::memory_order_relaxed);
+        responses5xx_.inc();
     else if (status >= 400)
-        responses4xx_.fetch_add(1, std::memory_order_relaxed);
+        responses4xx_.inc();
     else
-        responses2xx_.fetch_add(1, std::memory_order_relaxed);
+        responses2xx_.inc();
 }
 
 void
@@ -595,7 +594,7 @@ Gateway::respond(Conn &conn, Route route,
                      &extra_headers)
 {
     recordResponse(status);
-    latency_[static_cast<int>(route)].record(elapsedUs(started));
+    latency_[static_cast<int>(route)]->record(elapsedUs(started));
     queueBytes(conn, buildHttpResponse(status, "application/json",
                                        body, keep_alive,
                                        extra_headers));
@@ -609,7 +608,7 @@ void
 Gateway::dispatch(Conn &conn)
 {
     const auto started = std::chrono::steady_clock::now();
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    requests_.inc();
     const HttpRequest &req = conn.parser.request();
     const std::string &method = req.method;
     const std::string &path = req.path;
@@ -640,7 +639,7 @@ Gateway::dispatch(Conn &conn)
             collectWorkerServeStats();
             const std::string body = metricsJson();
             recordResponse(200);
-            latency_[static_cast<int>(Route::Stats)].record(
+            latency_[static_cast<int>(Route::Stats)]->record(
                 elapsedUs(started));
             Completion reply;
             reply.connId = connId;
@@ -887,10 +886,10 @@ Gateway::handleRuns(Conn &conn,
     }
     ParsedRun run = parsed.take();
     const std::uint64_t runId = registerRun(run);
-    runsSubmitted_.fetch_add(1, std::memory_order_relaxed);
+    runsSubmitted_.inc();
 
     if (run.async) {
-        runsAsync_.fetch_add(1, std::memory_order_relaxed);
+        runsAsync_.inc();
         respond(conn, Route::Runs, started, 202,
                 "{\"id\":" + std::to_string(runId) +
                     ",\"status\":\"queued\"}",
@@ -898,7 +897,7 @@ Gateway::handleRuns(Conn &conn,
         enqueueJob([this, runId, spec = run.spec,
                     keyHash = run.keyHash, started] {
             (void)forwardRun(runId, spec, keyHash, 0);
-            latency_[static_cast<int>(Route::Runs)].record(
+            latency_[static_cast<int>(Route::Runs)]->record(
                 elapsedUs(started));
         });
         return;
@@ -907,7 +906,7 @@ Gateway::handleRuns(Conn &conn,
     conn.busy = true;
     const std::uint64_t connId = conn.id;
     if (run.stream) {
-        runsStreaming_.fetch_add(1, std::memory_order_relaxed);
+        runsStreaming_.inc();
         recordResponse(200);
         queueBytes(conn, buildChunkedHead(200, "application/x-ndjson",
                                           keepAlive));
@@ -915,7 +914,7 @@ Gateway::handleRuns(Conn &conn,
                     keyHash = run.keyHash, connId, keepAlive,
                     started] {
             ForwardHttp done = forwardRun(runId, spec, keyHash, connId);
-            latency_[static_cast<int>(Route::Runs)].record(
+            latency_[static_cast<int>(Route::Runs)]->record(
                 elapsedUs(started));
             Completion tail;
             tail.connId = connId;
@@ -931,7 +930,7 @@ Gateway::handleRuns(Conn &conn,
                 connId, keepAlive, started] {
         ForwardHttp done = forwardRun(runId, spec, keyHash, 0);
         recordResponse(done.status);
-        latency_[static_cast<int>(Route::Runs)].record(
+        latency_[static_cast<int>(Route::Runs)]->record(
             elapsedUs(started));
         std::vector<std::pair<std::string, std::string>> extra;
         if (done.status == 429)
@@ -1022,7 +1021,7 @@ Gateway::handleFleet(Conn &conn,
     const std::uint64_t connId = conn.id;
     for (std::size_t i = 0; i < parsedRuns.size(); ++i) {
         const std::uint64_t runId = registerRun(parsedRuns[i]);
-        runsSubmitted_.fetch_add(1, std::memory_order_relaxed);
+        runsSubmitted_.inc();
         enqueueJob([this, gather, i, runId,
                     spec = parsedRuns[i].spec,
                     keyHash = parsedRuns[i].keyHash, connId,
@@ -1053,7 +1052,7 @@ Gateway::handleFleet(Conn &conn,
             body += "],\"completed\":" + std::to_string(completed) +
                     "}";
             recordResponse(200);
-            latency_[static_cast<int>(Route::Runs)].record(
+            latency_[static_cast<int>(Route::Runs)]->record(
                 elapsedUs(started));
             Completion reply;
             reply.connId = connId;
@@ -1123,7 +1122,7 @@ Gateway::handleCancel(Conn &conn,
                    (found.value() ? "true" : "false") + "}";
         }
         recordResponse(status);
-        latency_[static_cast<int>(Route::Runs)].record(
+        latency_[static_cast<int>(Route::Runs)]->record(
             elapsedUs(started));
         Completion reply;
         reply.connId = connId;
@@ -1270,7 +1269,7 @@ Gateway::forwardRun(std::uint64_t run_id,
             idField + ",\"status\":\"unreachable\",\"error\":" +
             "{\"code\":\"bad_gateway\",\"message\":" +
             jsonQuote(forwarded.error().message) + "}}";
-        runsFailed_.fetch_add(1, std::memory_order_relaxed);
+        runsFailed_.inc();
         finishRun(run_id, 502, RunState::Unreachable, envelope);
         return {502, envelope, 0};
     }
@@ -1306,7 +1305,7 @@ Gateway::forwardRun(std::uint64_t run_id,
                    (outcome.outcome.cacheHit ? "true" : "false") +
                    ",\"report\":" +
                    jsonQuote(outcome.outcome.report) + "}";
-        runsCompleted_.fetch_add(1, std::memory_order_relaxed);
+        runsCompleted_.inc();
         break;
     case serve::OutcomeStatus::Cancelled:
         state = RunState::Cancelled;
@@ -1323,7 +1322,7 @@ Gateway::forwardRun(std::uint64_t run_id,
                    std::to_string(outcome.outcome.minutesDone) +
                    ",\"checkpoint\":" +
                    jsonQuote(outcome.outcome.checkpointPath) + "}";
-        runsFailed_.fetch_add(1, std::memory_order_relaxed);
+        runsFailed_.inc();
         break;
     case serve::OutcomeStatus::RetryLater:
         state = RunState::RetryLater;
@@ -1332,7 +1331,7 @@ Gateway::forwardRun(std::uint64_t run_id,
         envelope = idField + ",\"status\":\"retry-later\"" + common +
                    ",\"retry_after_ms\":" +
                    std::to_string(outcome.outcome.retryAfterMs) + "}";
-        runsFailed_.fetch_add(1, std::memory_order_relaxed);
+        runsFailed_.inc();
         break;
     case serve::OutcomeStatus::Error:
     default:
@@ -1343,7 +1342,7 @@ Gateway::forwardRun(std::uint64_t run_id,
                    rpcErrorCodeName(outcome.outcome.errorCode) +
                    "\",\"message\":" +
                    jsonQuote(outcome.outcome.errorMessage) + "}}";
-        runsFailed_.fetch_add(1, std::memory_order_relaxed);
+        runsFailed_.inc();
         break;
     }
     finishRun(run_id, result.status, state, envelope);
@@ -1353,49 +1352,22 @@ Gateway::forwardRun(std::uint64_t run_id,
 
 // ---- Stats ----
 
-Gateway::HttpStats
-Gateway::httpStats() const
-{
-    HttpStats stats;
-    stats.connectionsAccepted =
-        connectionsAccepted_.load(std::memory_order_relaxed);
-    stats.connectionsRejected =
-        connectionsRejected_.load(std::memory_order_relaxed);
-    stats.connectionsActive = conns_.size();
-    stats.requests = requests_.load(std::memory_order_relaxed);
-    stats.responses2xx =
-        responses2xx_.load(std::memory_order_relaxed);
-    stats.responses4xx =
-        responses4xx_.load(std::memory_order_relaxed);
-    stats.responses5xx =
-        responses5xx_.load(std::memory_order_relaxed);
-    stats.parseErrors = parseErrors_.load(std::memory_order_relaxed);
-    stats.expectContinue =
-        expectContinue_.load(std::memory_order_relaxed);
-    stats.bytesIn = bytesIn_.load(std::memory_order_relaxed);
-    stats.bytesOut = bytesOut_.load(std::memory_order_relaxed);
-    stats.idleClosed = idleClosed_.load(std::memory_order_relaxed);
-    return stats;
-}
-
 void
 Gateway::collectWorkerServeStats()
 {
-    auto &reg = telemetry::registry();
-    static const char *const kKeys[] = {
-        "serve.batch.batches",
-        "serve.batch.batched_requests",
-        "serve.batch.scalar_fallbacks",
-        "serve.batch.max_occupancy",
-        "serve.batch.occupancy.mean",
-        "serve.batch.window_delay.p99_us",
-        "serve.setup_cache.hits",
-        "serve.setup_cache.misses",
+    // Each mirrored worker key, and the gateway.cluster.* sum it feeds.
+    static const std::pair<const char *, const char *> kKeys[] = {
+        {"serve.batch.batches", "gateway.cluster.batch.batches"},
+        {"serve.batch.batched_requests",
+         "gateway.cluster.batch.batched_requests"},
+        {"serve.batch.scalar_fallbacks", nullptr},
+        {"serve.batch.max_occupancy", nullptr},
+        {"serve.batch.occupancy.mean", nullptr},
+        {"serve.batch.window_delay.p99_us", nullptr},
+        {"serve.setup_cache.hits", "gateway.cluster.setup_cache.hits"},
+        {"serve.setup_cache.misses", "gateway.cluster.setup_cache.misses"},
     };
-    double clusterBatches = 0.0;
-    double clusterBatched = 0.0;
-    double clusterSetupHits = 0.0;
-    double clusterSetupMisses = 0.0;
+    double sums[std::size(kKeys)] = {};
     for (std::size_t w = 0; w < pool_.size(); ++w) {
         auto doc = pool_.stats(w);
         if (!doc)
@@ -1412,116 +1384,34 @@ Gateway::collectWorkerServeStats()
             continue;
         const std::string prefix =
             "gateway.worker." + std::to_string(w) + ".";
-        for (const char *key : kKeys) {
-            const JsonValue *stat = stats->member(key);
+        for (std::size_t k = 0; k < std::size(kKeys); ++k) {
+            const JsonValue *stat = stats->member(kKeys[k].first);
             const JsonValue *value =
                 stat ? stat->member("value") : nullptr;
             if (!value || !value->isNumber())
                 continue;
-            const double v = value->asNumber();
-            reg.scalar(prefix + key).set(v);
-            if (std::strcmp(key, "serve.batch.batches") == 0)
-                clusterBatches += v;
-            else if (std::strcmp(key,
-                                 "serve.batch.batched_requests") == 0)
-                clusterBatched += v;
-            else if (std::strcmp(key, "serve.setup_cache.hits") == 0)
-                clusterSetupHits += v;
-            else if (std::strcmp(key, "serve.setup_cache.misses") == 0)
-                clusterSetupMisses += v;
+            stats_.gauge(prefix + kKeys[k].first).set(value->asNumber());
+            sums[k] += value->asNumber();
         }
     }
-    reg.scalar("gateway.cluster.batch.batches").set(clusterBatches);
-    reg.scalar("gateway.cluster.batch.batched_requests")
-        .set(clusterBatched);
-    reg.scalar("gateway.cluster.setup_cache.hits")
-        .set(clusterSetupHits);
-    reg.scalar("gateway.cluster.setup_cache.misses")
-        .set(clusterSetupMisses);
+    for (std::size_t k = 0; k < std::size(kKeys); ++k) {
+        if (kKeys[k].second != nullptr)
+            stats_.gauge(kKeys[k].second).set(sums[k]);
+    }
 }
 
 std::string
 Gateway::metricsJson() const
 {
-    auto &reg = telemetry::registry();
-    const auto set = [&reg](const std::string &name, double value) {
-        reg.scalar(name).set(value);
-    };
-    const HttpStats http = httpStats();
-    set("gateway.connections.accepted",
-        static_cast<double>(http.connectionsAccepted));
-    set("gateway.connections.rejected",
-        static_cast<double>(http.connectionsRejected));
-    set("gateway.connections.active",
-        static_cast<double>(http.connectionsActive));
-    set("gateway.connections.idle_closed",
-        static_cast<double>(http.idleClosed));
-    set("gateway.http.requests", static_cast<double>(http.requests));
-    set("gateway.http.responses_2xx",
-        static_cast<double>(http.responses2xx));
-    set("gateway.http.responses_4xx",
-        static_cast<double>(http.responses4xx));
-    set("gateway.http.responses_5xx",
-        static_cast<double>(http.responses5xx));
-    set("gateway.http.parse_errors",
-        static_cast<double>(http.parseErrors));
-    set("gateway.http.expect_continue",
-        static_cast<double>(http.expectContinue));
-    set("gateway.http.bytes_in", static_cast<double>(http.bytesIn));
-    set("gateway.http.bytes_out", static_cast<double>(http.bytesOut));
-    set("gateway.runs.submitted",
-        static_cast<double>(
-            runsSubmitted_.load(std::memory_order_relaxed)));
-    set("gateway.runs.completed",
-        static_cast<double>(
-            runsCompleted_.load(std::memory_order_relaxed)));
-    set("gateway.runs.failed",
-        static_cast<double>(
-            runsFailed_.load(std::memory_order_relaxed)));
-    set("gateway.runs.streaming",
-        static_cast<double>(
-            runsStreaming_.load(std::memory_order_relaxed)));
-    set("gateway.runs.async",
-        static_cast<double>(
-            runsAsync_.load(std::memory_order_relaxed)));
-    set("gateway.workers.total", static_cast<double>(pool_.size()));
-    set("gateway.workers.healthy",
-        static_cast<double>(pool_.healthyCount()));
+    return telemetry::metricsJson({&stats_, &pool_.stats()});
+}
 
-    static const char *routeNames[3] = {"runs", "stats", "other"};
-    for (int r = 0; r < 3; ++r) {
-        const auto snap = latency_[r].snapshot();
-        const std::string prefix =
-            std::string("gateway.latency.") + routeNames[r] + ".";
-        set(prefix + "count", static_cast<double>(snap.count));
-        set(prefix + "mean_us", snap.mean);
-        set(prefix + "jitter_us", snap.jitter);
-        set(prefix + "p50_us", snap.p50);
-        set(prefix + "p95_us", snap.p95);
-        set(prefix + "p99_us", snap.p99);
-    }
-    for (std::size_t w = 0; w < pool_.size(); ++w) {
-        const WorkerPool::WorkerCounters c = pool_.counters(w);
-        const std::string prefix =
-            "gateway.worker." + std::to_string(w) + ".";
-        set(prefix + "forwarded", static_cast<double>(c.forwarded));
-        set(prefix + "answered", static_cast<double>(c.answered));
-        set(prefix + "cache_hits", static_cast<double>(c.cacheHits));
-        set(prefix + "retry_later",
-            static_cast<double>(c.retryLater));
-        set(prefix + "transport_errors",
-            static_cast<double>(c.transportErrors));
-        set(prefix + "failovers_from",
-            static_cast<double>(c.failoversFrom));
-        set(prefix + "probes", static_cast<double>(c.probes));
-        set(prefix + "probe_failures",
-            static_cast<double>(c.probeFailures));
-        set(prefix + "healthy", c.healthy ? 1.0 : 0.0);
-    }
-
-    std::ostringstream os;
-    reg.dumpJson(os);
-    return os.str();
+const telemetry::StatBase *
+Gateway::find(const std::string &name) const
+{
+    if (const telemetry::StatBase *stat = stats_.find(name))
+        return stat;
+    return pool_.stats().find(name);
 }
 
 } // namespace ecolo::gateway

@@ -33,6 +33,15 @@
  * RETRY_AFTER backpressure -> 429 + Retry-After, DEADLINE_EXCEEDED ->
  * 504, draining worker -> 503, all replicas unreachable -> 502);
  * every failure is a JSON error body, never silence.
+ *
+ * Stats live in the gateway's own telemetry registry (gateway.http.*,
+ * gateway.connections.*, gateway.runs.*, the per-route
+ * gateway.latency.* tails, and the gateway.worker.N.serve.* /
+ * gateway.cluster.* mirrors of the workers' documents) and in the
+ * WorkerPool's (gateway.worker.N.*, gateway.workers.*). Each value is
+ * updated by the thread that owns it -- gateway.connections.active by
+ * the event loop -- so the stats document renders on a forwarder
+ * thread without touching loop state.
  */
 
 #ifndef ECOLO_GATEWAY_GATEWAY_HH
@@ -103,30 +112,19 @@ class Gateway
     /** Block until the drain completed and every thread was joined. */
     void waitUntilStopped();
 
-    /** The edgetherm-metrics-v1 document with gateway.* mirrored in. */
+    /**
+     * The edgetherm-metrics-v1 document: the gateway's and the pool's
+     * registries, then the process registry.
+     */
     std::string metricsJson() const;
+
+    /** A stat from the gateway's or the pool's registry, or nullptr. */
+    const telemetry::StatBase *find(const std::string &name) const;
 
     WorkerPool &pool() { return pool_; }
     const WorkerPool &pool() const { return pool_; }
 
-    /** Always-on HTTP counters (mirrored into telemetry by metricsJson). */
-    struct HttpStats
-    {
-        std::uint64_t connectionsAccepted = 0;
-        std::uint64_t connectionsRejected = 0; //!< over maxConnections
-        std::uint64_t connectionsActive = 0;
-        std::uint64_t requests = 0;
-        std::uint64_t responses2xx = 0;
-        std::uint64_t responses4xx = 0;
-        std::uint64_t responses5xx = 0;
-        std::uint64_t parseErrors = 0;
-        std::uint64_t expectContinue = 0;
-        std::uint64_t bytesIn = 0;
-        std::uint64_t bytesOut = 0;
-        std::uint64_t idleClosed = 0;
-    };
-    HttpStats httpStats() const;
-
+  private:
     /** Route buckets for the latency tails. */
     enum class Route : int
     {
@@ -134,10 +132,7 @@ class Gateway
         Stats = 1, //!< GET /v1/stats, /v1/healthz
         Other = 2, //!< registry reads, errors, unknown routes
     };
-    telemetry::TailLatency::Snapshot routeLatency(Route route) const
-    { return latency_[static_cast<int>(route)].snapshot(); }
 
-  private:
     /** How a registry run currently stands. */
     enum class RunState : int
     {
@@ -248,10 +243,10 @@ class Gateway
     std::string healthzJson() const;
     /**
      * Pull each healthy worker's serve.batch.* / serve.setup_cache.*
-     * counters over a STATS RPC and mirror them into the registry as
-     * gateway.worker.N.* plus gateway.cluster.* aggregates, so
-     * cluster-level batching efficiency is one curl away. Blocking;
-     * forwarder threads only.
+     * counters over a STATS RPC and mirror them into the gateway's
+     * registry as gateway.worker.N.serve.* plus gateway.cluster.*
+     * aggregates, so cluster-level batching efficiency is one curl
+     * away. Blocking; forwarder threads only.
      */
     void collectWorkerServeStats();
 
@@ -275,6 +270,44 @@ class Gateway
 
     const GatewayOptions options_;
     WorkerPool pool_;
+
+    telemetry::Registry stats_;
+    telemetry::Counter &connectionsAccepted_ =
+        stats_.counter("gateway.connections.accepted");
+    /** Over maxConnections, or arrived while draining. */
+    telemetry::Counter &connectionsRejected_ =
+        stats_.counter("gateway.connections.rejected");
+    /** Moved by the event loop only, beside conns_. */
+    telemetry::Gauge &connectionsActive_ =
+        stats_.gauge("gateway.connections.active");
+    telemetry::Counter &idleClosed_ =
+        stats_.counter("gateway.connections.idle_closed");
+    telemetry::Counter &requests_ = stats_.counter("gateway.http.requests");
+    telemetry::Counter &responses2xx_ =
+        stats_.counter("gateway.http.responses_2xx");
+    telemetry::Counter &responses4xx_ =
+        stats_.counter("gateway.http.responses_4xx");
+    telemetry::Counter &responses5xx_ =
+        stats_.counter("gateway.http.responses_5xx");
+    telemetry::Counter &parseErrors_ =
+        stats_.counter("gateway.http.parse_errors");
+    telemetry::Counter &expectContinue_ =
+        stats_.counter("gateway.http.expect_continue");
+    telemetry::Counter &bytesIn_ = stats_.counter("gateway.http.bytes_in");
+    telemetry::Counter &bytesOut_ = stats_.counter("gateway.http.bytes_out");
+    telemetry::Counter &runsSubmitted_ =
+        stats_.counter("gateway.runs.submitted");
+    telemetry::Counter &runsCompleted_ =
+        stats_.counter("gateway.runs.completed");
+    telemetry::Counter &runsFailed_ = stats_.counter("gateway.runs.failed");
+    telemetry::Counter &runsStreaming_ =
+        stats_.counter("gateway.runs.streaming");
+    telemetry::Counter &runsAsync_ = stats_.counter("gateway.runs.async");
+    telemetry::TailLatency *const latency_[3] = { // indexed by Route
+        &stats_.tail("gateway.latency.runs", "_us"),
+        &stats_.tail("gateway.latency.stats", "_us"),
+        &stats_.tail("gateway.latency.other", "_us")};
+
     util::TcpListener listener_;
     std::uint16_t port_ = 0;
     int epollFd_ = -1;
@@ -300,25 +333,6 @@ class Gateway
     std::atomic<std::uint64_t> nextRunId_{1};
     std::map<std::uint64_t, RunRecord> runs_;
     std::deque<std::uint64_t> runOrder_;
-
-    mutable telemetry::TailLatency latency_[3];
-
-    std::atomic<std::uint64_t> connectionsAccepted_{0};
-    std::atomic<std::uint64_t> connectionsRejected_{0};
-    std::atomic<std::uint64_t> requests_{0};
-    std::atomic<std::uint64_t> responses2xx_{0};
-    std::atomic<std::uint64_t> responses4xx_{0};
-    std::atomic<std::uint64_t> responses5xx_{0};
-    std::atomic<std::uint64_t> parseErrors_{0};
-    std::atomic<std::uint64_t> expectContinue_{0};
-    std::atomic<std::uint64_t> bytesIn_{0};
-    std::atomic<std::uint64_t> bytesOut_{0};
-    std::atomic<std::uint64_t> idleClosed_{0};
-    std::atomic<std::uint64_t> runsSubmitted_{0};
-    std::atomic<std::uint64_t> runsCompleted_{0};
-    std::atomic<std::uint64_t> runsFailed_{0};
-    std::atomic<std::uint64_t> runsStreaming_{0};
-    std::atomic<std::uint64_t> runsAsync_{0};
 
     std::mutex stopMutex_; //!< serializes waitUntilStopped joins
     bool stopped_ = false;

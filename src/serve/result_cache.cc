@@ -55,11 +55,11 @@ ResultCache::lookup(const CacheKey &key)
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key.hash);
     if (it == index_.end()) {
-        ++stats_.misses;
+        misses_.inc();
         return std::nullopt;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.hits;
+    hits_.inc();
     return it->second->bytes;
 }
 
@@ -68,7 +68,7 @@ ResultCache::insert(const CacheKey &key, std::string bytes)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (bytes.size() > maxBytes_) {
-        ++stats_.oversizeRejected;
+        oversizeRejected_.inc();
         return;
     }
     const auto it = index_.find(key.hash);
@@ -82,8 +82,10 @@ ResultCache::insert(const CacheKey &key, std::string bytes)
     bytes_ += bytes.size();
     lru_.push_front(Entry{key.hash, std::move(bytes)});
     index_[key.hash] = lru_.begin();
-    ++stats_.insertions;
+    insertions_.inc();
     evictWhileOverBudgetLocked();
+    entriesNow_.set(static_cast<double>(lru_.size()));
+    bytesNow_.set(static_cast<double>(bytes_));
 }
 
 void
@@ -95,18 +97,8 @@ ResultCache::evictWhileOverBudgetLocked()
         bytes_ -= victim.bytes.size();
         index_.erase(victim.key);
         lru_.pop_back();
-        ++stats_.evictions;
+        evictions_.inc();
     }
-}
-
-ResultCache::Stats
-ResultCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Stats s = stats_;
-    s.entries = lru_.size();
-    s.bytes = bytes_;
-    return s;
 }
 
 } // namespace ecolo::serve

@@ -15,9 +15,10 @@
  *
  * Values are the response payload bytes verbatim: a hit is byte-
  * identical to the miss that populated it. Eviction is LRU under both
- * an entry-count and a byte budget. All operations are thread-safe;
- * hit/miss/eviction counts are kept internally (always on) and mirrored
- * into the telemetry registry as serve.cache.* by Server::metricsJson.
+ * an entry-count and a byte budget. All operations are thread-safe.
+ * The cache counts serve.cache.* in its own telemetry registry (always
+ * on, even with telemetry compiled out), its entries/bytes gauges kept
+ * current under the cache mutex; Server::metricsJson dumps it as is.
  */
 
 #ifndef ECOLO_SERVE_RESULT_CACHE_HH
@@ -31,6 +32,7 @@
 #include <unordered_map>
 
 #include "core/version.hh"
+#include "telemetry/stats.hh"
 #include "thermal/heat_matrix.hh"
 #include "util/keyvalue.hh"
 
@@ -69,17 +71,6 @@ CacheKey makeCacheKey(const KeyValueConfig &scenario,
 class ResultCache
 {
   public:
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t insertions = 0;
-        std::uint64_t oversizeRejected = 0;
-        std::size_t entries = 0;
-        std::size_t bytes = 0;
-    };
-
     ResultCache(std::size_t max_bytes, std::size_t max_entries);
 
     /**
@@ -96,7 +87,7 @@ class ResultCache
      */
     void insert(const CacheKey &key, std::string bytes);
 
-    Stats stats() const;
+    const telemetry::Registry &stats() const { return stats_; }
     std::size_t maxBytes() const { return maxBytes_; }
     std::size_t maxEntries() const { return maxEntries_; }
 
@@ -116,7 +107,17 @@ class ResultCache
     std::list<Entry> lru_; //!< front = most recently used
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
     std::size_t bytes_ = 0;
-    Stats stats_;
+
+    telemetry::Registry stats_;
+    telemetry::Counter &hits_ = stats_.counter("serve.cache.hits");
+    telemetry::Counter &misses_ = stats_.counter("serve.cache.misses");
+    telemetry::Counter &evictions_ = stats_.counter("serve.cache.evictions");
+    telemetry::Counter &insertions_ =
+        stats_.counter("serve.cache.insertions");
+    telemetry::Counter &oversizeRejected_ =
+        stats_.counter("serve.cache.oversize_rejected");
+    telemetry::Gauge &entriesNow_ = stats_.gauge("serve.cache.entries");
+    telemetry::Gauge &bytesNow_ = stats_.gauge("serve.cache.bytes");
 };
 
 } // namespace ecolo::serve

@@ -60,14 +60,14 @@ Scheduler::submit(std::uint64_t id, Lane lane,
                       deadline)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.submitted;
+    submitted_.inc();
     const std::size_t queued = lanes_[0].size + lanes_[1].size;
     if (draining_) {
-        ++stats_.rejectedDraining;
+        rejectedDraining_.inc();
         return {Admission::Draining, queued};
     }
     if (queued >= options_.maxQueued) {
-        ++stats_.rejectedQueueFull;
+        rejectedQueueFull_.inc();
         return {Admission::QueueFull, queued};
     }
     Job entry;
@@ -79,7 +79,8 @@ Scheduler::submit(std::uint64_t id, Lane lane,
     entry.enqueued = std::chrono::steady_clock::now();
     liveTokens_.emplace(id, entry.token);
     lanes_[static_cast<int>(lane)].push(client_id, std::move(entry));
-    ++stats_.admitted;
+    admitted_.inc();
+    queueDepth_.set(static_cast<double>(queued + 1));
     // notify_all, not notify_one: a worker holding a batching window
     // open also waits on this condvar, and it must not swallow the
     // only wakeup meant for an idle worker (or vice versa).
@@ -113,11 +114,9 @@ Scheduler::popNextLocked(Job &out)
     if (boost_batch) {
         interactiveStreak_ = 0;
         out = batch.pop();
-        ++stats_.dispatchedBatch;
     } else {
         ++interactiveStreak_;
         out = interactive.pop();
-        ++stats_.dispatchedInteractive;
     }
     return true;
 }
@@ -126,14 +125,15 @@ void
 Scheduler::noteDispatchLocked(Job &job)
 {
     const auto now = std::chrono::steady_clock::now();
-    queueWait_[static_cast<int>(job.lane)].record(
+    dispatched_[static_cast<int>(job.lane)]->inc();
+    queueWait_[static_cast<int>(job.lane)]->record(
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 now - job.enqueued)
                 .count()));
     if (job.deadline && !job.token.cancelled() && now >= *job.deadline) {
         job.token.cancel(CancelReason::Deadline);
-        ++stats_.deadlineExpiredQueued;
+        deadlineExpiredQueued_.inc();
     }
 }
 
@@ -152,10 +152,6 @@ Scheduler::collectPeersLocked(std::uint64_t key, std::size_t max,
                     ++jit;
                     continue;
                 }
-                if (jit->lane == Lane::Interactive)
-                    ++stats_.dispatchedInteractive;
-                else
-                    ++stats_.dispatchedBatch;
                 noteDispatchLocked(*jit);
                 out.push_back(std::move(*jit));
                 jit = fifo.erase(jit);
@@ -190,7 +186,7 @@ Scheduler::gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
     double waited_us = 0.0;
     if (options_.batchWindow.count() > 0 && seed.lane == Lane::Batch &&
         !draining_ && peers.size() < max_peers) {
-        ++stats_.batchWindowWaits;
+        batchWindowWaits_.inc();
         const auto opened = std::chrono::steady_clock::now();
         const auto closes = opened + options_.batchWindow;
         while (peers.size() < max_peers && !draining_) {
@@ -208,15 +204,16 @@ Scheduler::gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
                 std::chrono::steady_clock::now() - opened)
                 .count());
     }
+    const double members = static_cast<double>(1 + peers.size());
     batchWindowDelay_.record(waited_us);
-    batchOccupancy_.record(static_cast<double>(1 + peers.size()));
+    batchOccupancy_.record(members);
     if (peers.empty()) {
-        ++stats_.batchScalarFallbacks;
+        batchScalarFallbacks_.inc();
     } else {
-        ++stats_.batchesDispatched;
-        stats_.batchedJobs += 1 + peers.size();
-        stats_.batchMaxOccupancy =
-            std::max(stats_.batchMaxOccupancy, 1 + peers.size());
+        batches_.inc();
+        batchedJobs_.inc(1 + peers.size());
+        if (members > batchMaxOccupancy_.value())
+            batchMaxOccupancy_.set(members);
     }
 }
 
@@ -241,7 +238,9 @@ Scheduler::workerLoop()
             }
             noteDispatchLocked(job);
             gatherBatchLocked(job, peers, lock);
-            stats_.runningNow += 1 + peers.size();
+            queueDepth_.set(
+                static_cast<double>(lanes_[0].size + lanes_[1].size));
+            running_.add(static_cast<double>(1 + peers.size()));
         }
 
         items.reserve(1 + peers.size());
@@ -265,12 +264,12 @@ Scheduler::workerLoop()
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            stats_.runningNow -= 1 + peers.size();
+            running_.add(-static_cast<double>(1 + peers.size()));
             const auto retire = [&](const Job &done) {
                 if (done.token.cancelled())
-                    ++stats_.cancelled;
+                    cancelled_.inc();
                 else
-                    ++stats_.completed;
+                    completed_.inc();
                 liveTokens_.erase(done.id);
             };
             retire(job);
@@ -305,40 +304,6 @@ Scheduler::drain(bool cancel_in_flight)
         }
     }
     workAvailable_.notify_all();
-}
-
-Scheduler::Stats
-Scheduler::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Stats s = stats_;
-    s.queuedNow = lanes_[0].size + lanes_[1].size;
-    return s;
-}
-
-std::size_t
-Scheduler::queuedNow() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lanes_[0].size + lanes_[1].size;
-}
-
-telemetry::TailLatency::Snapshot
-Scheduler::queueWaitSnapshot(Lane lane) const
-{
-    return queueWait_[static_cast<int>(lane)].snapshot();
-}
-
-telemetry::TailLatency::Snapshot
-Scheduler::batchOccupancySnapshot() const
-{
-    return batchOccupancy_.snapshot();
-}
-
-telemetry::TailLatency::Snapshot
-Scheduler::batchWindowDelaySnapshot() const
-{
-    return batchWindowDelay_.snapshot();
 }
 
 } // namespace ecolo::serve

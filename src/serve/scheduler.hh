@@ -164,32 +164,6 @@ class Scheduler
         std::size_t queueDepth = 0; //!< waiting jobs after this submit
     };
 
-    struct Stats
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t admitted = 0;
-        std::uint64_t rejectedQueueFull = 0;
-        std::uint64_t rejectedDraining = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t cancelled = 0; //!< completed with a cancelled token
-        /** Jobs whose deadline had already expired at dispatch. */
-        std::uint64_t deadlineExpiredQueued = 0;
-        std::uint64_t dispatchedInteractive = 0;
-        std::uint64_t dispatchedBatch = 0;
-        /** Executor dispatches with >= 2 members. */
-        std::uint64_t batchesDispatched = 0;
-        /** Jobs that ran in a >= 2 member batch. */
-        std::uint64_t batchedJobs = 0;
-        /** Jobs that ran alone (no compatible peer found, or 1 lane). */
-        std::uint64_t batchScalarFallbacks = 0;
-        /** Dispatches that held the batching window open. */
-        std::uint64_t batchWindowWaits = 0;
-        /** Largest batch ever dispatched. */
-        std::size_t batchMaxOccupancy = 0;
-        std::size_t queuedNow = 0;
-        std::size_t runningNow = 0;
-    };
-
     /** @param executor runs every dispatch; must not be empty. */
     Scheduler(Options options, BatchFn executor);
 
@@ -240,15 +214,8 @@ class Scheduler
      */
     void drain(bool cancel_in_flight);
 
-    Stats stats() const;
-    std::size_t queuedNow() const;
-
-    /** Time jobs spent queued before dispatch, per lane (microseconds). */
-    telemetry::TailLatency::Snapshot queueWaitSnapshot(Lane lane) const;
-    /** Members per executor dispatch (the lanes-occupied histogram). */
-    telemetry::TailLatency::Snapshot batchOccupancySnapshot() const;
-    /** Extra delay the batching window added per dispatch (microseconds). */
-    telemetry::TailLatency::Snapshot batchWindowDelaySnapshot() const;
+    /** Always-on stats; see the members for names and meanings. */
+    const telemetry::Registry &stats() const { return stats_; }
 
   private:
     /** Per-lane client-fair queue: round-robin of per-client FIFOs. */
@@ -292,10 +259,49 @@ class Scheduler
     std::map<std::uint64_t, CancelToken> liveTokens_;
     std::size_t interactiveStreak_ = 0;
     bool draining_ = false;
-    Stats stats_;
-    telemetry::TailLatency queueWait_[2];
-    telemetry::TailLatency batchOccupancy_;
-    telemetry::TailLatency batchWindowDelay_;
+
+    telemetry::Registry stats_;
+    telemetry::Counter &submitted_ =
+        stats_.counter("serve.requests.submitted");
+    telemetry::Counter &admitted_ = stats_.counter("serve.requests.admitted");
+    telemetry::Counter &rejectedQueueFull_ =
+        stats_.counter("serve.requests.rejected_queue_full");
+    telemetry::Counter &rejectedDraining_ =
+        stats_.counter("serve.requests.rejected_draining");
+    telemetry::Counter &completed_ =
+        stats_.counter("serve.requests.completed");
+    /** Finished with a cancelled token. */
+    telemetry::Counter &cancelled_ =
+        stats_.counter("serve.requests.cancelled");
+    /** Deadline already passed at dispatch. */
+    telemetry::Counter &deadlineExpiredQueued_ =
+        stats_.counter("serve.requests.deadline_expired_queued");
+    telemetry::Counter *const dispatched_[2] = { // indexed by Lane
+        &stats_.counter("serve.dispatch.interactive"),
+        &stats_.counter("serve.dispatch.batch")};
+    /** Dispatches with >= 2 members, and the jobs in them. */
+    telemetry::Counter &batches_ = stats_.counter("serve.batch.batches");
+    telemetry::Counter &batchedJobs_ =
+        stats_.counter("serve.batch.batched_requests");
+    /** Jobs that ran alone. */
+    telemetry::Counter &batchScalarFallbacks_ =
+        stats_.counter("serve.batch.scalar_fallbacks");
+    /** Dispatches that held the batching window open. */
+    telemetry::Counter &batchWindowWaits_ =
+        stats_.counter("serve.batch.window_waits");
+    telemetry::Gauge &batchMaxOccupancy_ =
+        stats_.gauge("serve.batch.max_occupancy");
+    telemetry::Gauge &queueDepth_ = stats_.gauge("serve.queue.depth");
+    telemetry::Gauge &running_ = stats_.gauge("serve.queue.running");
+    /** Time queued before dispatch, indexed by Lane. */
+    telemetry::TailLatency *const queueWait_[2] = {
+        &stats_.tail("serve.latency.interactive.queue_wait", "_us"),
+        &stats_.tail("serve.latency.batch.queue_wait", "_us")};
+    /** Members per dispatch, and the delay the window added. */
+    telemetry::TailLatency &batchOccupancy_ =
+        stats_.tail("serve.batch.occupancy", "");
+    telemetry::TailLatency &batchWindowDelay_ =
+        stats_.tail("serve.batch.window_delay", "_us");
 };
 
 } // namespace ecolo::serve

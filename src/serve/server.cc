@@ -119,8 +119,9 @@ Server::start()
         // new requests never collide in the scheduler or the journal.
         if (max_id >= nextRequestId_.load(std::memory_order_relaxed))
             nextRequestId_.store(max_id + 1, std::memory_order_relaxed);
-        journalRecovered_.store(journal_->recovered().size(),
-                                std::memory_order_relaxed);
+        journalRecovered_.inc(journal_->recovered().size());
+        journalPending_.set(
+            static_cast<double>(journal_->recovered().size()));
     }
 
     auto listener = util::TcpListener::listenLoopback(options_.port);
@@ -200,7 +201,7 @@ Server::acceptLoop()
         }
         if (!accepted.value().has_value())
             continue; // poll timeout: re-check the drain flag
-        connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
+        connectionsAccepted_.inc();
         auto conn = std::make_shared<util::TcpConnection>(
             std::move(*accepted.value()));
         auto done = std::make_shared<std::atomic<bool>>(false);
@@ -222,7 +223,7 @@ Server::handleConnection(std::shared_ptr<util::TcpConnection> conn)
     (void)conn->setReceiveTimeout(options_.receiveTimeoutMs);
     auto frame = readFrame(*conn);
     if (!frame) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         replyError(*conn, 0, RpcErrorCode::ParseError,
                    frame.error().message);
         return;
@@ -235,7 +236,7 @@ Server::handleConnection(std::shared_ptr<util::TcpConnection> conn)
     case MessageType::Cancel: {
         auto payload = decodeCancel(frame.value().payload);
         if (!payload) {
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.inc();
             replyError(*conn, 0, RpcErrorCode::ParseError,
                        payload.error().message);
             return;
@@ -259,7 +260,7 @@ Server::handleConnection(std::shared_ptr<util::TcpConnection> conn)
         requestDrain();
         return;
     default:
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         replyError(*conn, frame.value().requestId,
                    RpcErrorCode::ParseError,
                    std::string("unexpected client frame type ") +
@@ -332,7 +333,7 @@ Server::handleSubmit(std::shared_ptr<util::TcpConnection> conn,
     const auto received = std::chrono::steady_clock::now();
     auto decoded = decodeSubmit(frame.payload);
     if (!decoded) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         replyError(*conn, 0, RpcErrorCode::ParseError,
                    decoded.error().message);
         return;
@@ -369,8 +370,7 @@ Server::handleSubmit(std::shared_ptr<util::TcpConnection> conn,
     // the run on restart.
     if (journal_) {
         if (auto logged = journal_->recordAdmit(id, request); !logged) {
-            journalAppendFailures_.fetch_add(1,
-                                             std::memory_order_relaxed);
+            journalAppendFailures_.inc();
             replyError(*conn, id, RpcErrorCode::Internal,
                        "request journal append failed: " +
                            logged.error().message);
@@ -424,12 +424,12 @@ Server::replayRecovered()
             ecolo::warn("serve: journaled request ", pending.id,
                         " no longer valid: ", prepared.error().message);
             recordJournalOutcome(pending.id, JournalOutcome::Error);
-            journalReplayed_.fetch_add(1, std::memory_order_relaxed);
+            recordReplayed();
             continue;
         }
         if (cache_.lookup(prepared.value().key).has_value()) {
             recordJournalOutcome(pending.id, JournalOutcome::Completed);
-            journalReplayed_.fetch_add(1, std::memory_order_relaxed);
+            recordReplayed();
             continue;
         }
         const Scheduler::SubmitResult submitted = submitRun(
@@ -480,11 +480,14 @@ Server::recordLatency(Lane lane,
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - received)
             .count();
-    latency_[static_cast<int>(lane)].record(us);
-    telemetry::registry()
-        .histogram(lane == Lane::Batch ? "serve.latency.batch_us"
-                                       : "serve.latency.interactive_us")
-        .add(us);
+    latency_[static_cast<int>(lane)]->record(us);
+}
+
+void
+Server::recordReplayed()
+{
+    journalReplayed_.inc();
+    journalPending_.add(-1.0);
 }
 
 void
@@ -495,7 +498,7 @@ Server::recordJournalOutcome(std::uint64_t request_id,
         return;
     if (auto logged = journal_->recordOutcome(request_id, outcome);
         !logged) {
-        journalAppendFailures_.fetch_add(1, std::memory_order_relaxed);
+        journalAppendFailures_.inc();
         ecolo::warn("serve: journal outcome for request ", request_id,
                     " failed: ", logged.error().message);
     }
@@ -523,7 +526,7 @@ Server::startSimulation(
                           : Lane::Interactive,
                       received);
         if (!conn)
-            journalReplayed_.fetch_add(1, std::memory_order_relaxed);
+            recordReplayed();
         return nullptr;
     }
     auto sim = std::make_unique<core::Simulation>(config, policy.take());
@@ -630,13 +633,13 @@ Server::concludeSimulation(
         recordJournalOutcome(request_id, outcome);
         recordLatency(lane, received);
         if (!conn)
-            journalReplayed_.fetch_add(1, std::memory_order_relaxed);
+            recordReplayed();
     };
     const MinuteIndex horizon = request.horizonMinutes;
 
     if (token.cancelled()) {
         if (token.reason() == CancelReason::Deadline) {
-            deadlineExceeded_.fetch_add(1, std::memory_order_relaxed);
+            deadlineExceeded_.inc();
             if (conn)
                 replyError(*conn, request_id,
                            RpcErrorCode::DeadlineExceeded,
@@ -706,140 +709,37 @@ Server::concludeSimulation(
     finish(JournalOutcome::Completed);
 }
 
-Server::JournalStats
-Server::journalStats() const
+std::vector<const telemetry::Registry *>
+Server::registries() const
 {
-    JournalStats stats;
-    stats.recovered = journalRecovered_.load(std::memory_order_relaxed);
-    stats.replayed = journalReplayed_.load(std::memory_order_relaxed);
-    stats.pending = stats.recovered > stats.replayed
-                        ? stats.recovered - stats.replayed
-                        : 0;
-    stats.appendFailures =
-        journalAppendFailures_.load(std::memory_order_relaxed);
-    return stats;
+    return {&cache_.stats(), &scheduler_.stats(), &stats_};
+}
+
+const telemetry::StatBase *
+Server::find(const std::string &name) const
+{
+    for (const telemetry::Registry *reg : registries())
+        if (const telemetry::StatBase *stat = reg->find(name))
+            return stat;
+    return nullptr;
 }
 
 std::string
 Server::metricsJson() const
 {
-    // Serving counters are authoritative in their own structs (alive
-    // even with telemetry compiled out); the registry is only the dump
-    // format, refreshed here.
-    auto &reg = telemetry::registry();
-    const ResultCache::Stats cache = cache_.stats();
-    const Scheduler::Stats sched = scheduler_.stats();
-    const auto set = [&reg](const char *name, double value) {
-        reg.scalar(name).set(value);
-    };
-    set("serve.cache.hits", static_cast<double>(cache.hits));
-    set("serve.cache.misses", static_cast<double>(cache.misses));
-    set("serve.cache.evictions", static_cast<double>(cache.evictions));
-    set("serve.cache.insertions", static_cast<double>(cache.insertions));
-    set("serve.cache.oversize_rejected",
-        static_cast<double>(cache.oversizeRejected));
-    set("serve.cache.entries", static_cast<double>(cache.entries));
-    set("serve.cache.bytes", static_cast<double>(cache.bytes));
-    set("serve.requests.submitted",
-        static_cast<double>(sched.submitted));
-    set("serve.requests.admitted", static_cast<double>(sched.admitted));
-    set("serve.requests.rejected_queue_full",
-        static_cast<double>(sched.rejectedQueueFull));
-    set("serve.requests.rejected_draining",
-        static_cast<double>(sched.rejectedDraining));
-    set("serve.requests.completed",
-        static_cast<double>(sched.completed));
-    set("serve.requests.cancelled",
-        static_cast<double>(sched.cancelled));
-    set("serve.dispatch.interactive",
-        static_cast<double>(sched.dispatchedInteractive));
-    set("serve.dispatch.batch", static_cast<double>(sched.dispatchedBatch));
-    set("serve.batch.batches",
-        static_cast<double>(sched.batchesDispatched));
-    set("serve.batch.batched_requests",
-        static_cast<double>(sched.batchedJobs));
-    set("serve.batch.scalar_fallbacks",
-        static_cast<double>(sched.batchScalarFallbacks));
-    set("serve.batch.window_waits",
-        static_cast<double>(sched.batchWindowWaits));
-    set("serve.batch.max_occupancy",
-        static_cast<double>(sched.batchMaxOccupancy));
-    const telemetry::TailLatency::Snapshot occupancy =
-        scheduler_.batchOccupancySnapshot();
-    set("serve.batch.occupancy.count",
-        static_cast<double>(occupancy.count));
-    set("serve.batch.occupancy.mean", occupancy.mean);
-    set("serve.batch.occupancy.p50", occupancy.p50);
-    set("serve.batch.occupancy.p99", occupancy.p99);
-    set("serve.batch.occupancy.max", occupancy.max);
-    const telemetry::TailLatency::Snapshot window =
-        scheduler_.batchWindowDelaySnapshot();
-    set("serve.batch.window_delay.count",
-        static_cast<double>(window.count));
-    set("serve.batch.window_delay.mean_us", window.mean);
-    set("serve.batch.window_delay.p99_us", window.p99);
-    set("serve.batch.window_delay.max_us", window.max);
-    const core::SetupCache::Counters setup = setupCacheCounters();
-    set("serve.setup_cache.hits",
-        static_cast<double>(setup.traceHits + setup.scaleHits +
-                            setup.matrixHits +
-                            setup.factorizationHits));
-    set("serve.setup_cache.misses",
-        static_cast<double>(setup.traceMisses + setup.scaleMisses +
-                            setup.matrixMisses +
-                            setup.factorizationMisses));
-    set("serve.setup_cache.trace_hits",
-        static_cast<double>(setup.traceHits));
-    set("serve.setup_cache.factorization_hits",
+    // core::SetupCache is shared with fleet and bench runs and keeps its
+    // own counters; only its four sums are copied in, at dump time.
+    const core::SetupCache::Counters setup = setupCache_->counters();
+    setupHits_.set(static_cast<double>(
+        setup.traceHits + setup.scaleHits + setup.matrixHits +
+        setup.factorizationHits));
+    setupMisses_.set(static_cast<double>(
+        setup.traceMisses + setup.scaleMisses + setup.matrixMisses +
+        setup.factorizationMisses));
+    setupTraceHits_.set(static_cast<double>(setup.traceHits));
+    setupFactorizationHits_.set(
         static_cast<double>(setup.factorizationHits));
-    set("serve.queue.depth", static_cast<double>(sched.queuedNow));
-    set("serve.queue.running", static_cast<double>(sched.runningNow));
-    set("serve.connections.accepted",
-        static_cast<double>(
-            connectionsAccepted_.load(std::memory_order_relaxed)));
-    set("serve.protocol.errors",
-        static_cast<double>(
-            protocolErrors_.load(std::memory_order_relaxed)));
-    set("serve.requests.deadline_exceeded",
-        static_cast<double>(
-            deadlineExceeded_.load(std::memory_order_relaxed)));
-    set("serve.requests.deadline_expired_queued",
-        static_cast<double>(sched.deadlineExpiredQueued));
-    const JournalStats journal = journalStats();
-    set("serve.journal.recovered",
-        static_cast<double>(journal.recovered));
-    set("serve.journal.replayed", static_cast<double>(journal.replayed));
-    set("serve.journal.pending", static_cast<double>(journal.pending));
-    set("serve.journal.append_failures",
-        static_cast<double>(journal.appendFailures));
-    const auto set_lane = [&set](const char *prefix,
-                                 const telemetry::TailLatency::Snapshot
-                                     &snap) {
-        const auto gauge = [&](const char *suffix, double value) {
-            telemetry::registry()
-                .scalar(std::string("serve.latency.") + prefix + "." +
-                        suffix)
-                .set(value);
-        };
-        gauge("count", static_cast<double>(snap.count));
-        gauge("mean_us", snap.mean);
-        gauge("jitter_us", snap.jitter);
-        gauge("min_us", snap.min);
-        gauge("max_us", snap.max);
-        gauge("p50_us", snap.p50);
-        gauge("p95_us", snap.p95);
-        gauge("p99_us", snap.p99);
-    };
-    set_lane("interactive", latencySnapshot(Lane::Interactive));
-    set_lane("batch", latencySnapshot(Lane::Batch));
-    set_lane("interactive.queue_wait",
-             scheduler_.queueWaitSnapshot(Lane::Interactive));
-    set_lane("batch.queue_wait",
-             scheduler_.queueWaitSnapshot(Lane::Batch));
-
-    std::ostringstream os;
-    reg.dumpJson(os);
-    return os.str();
+    return telemetry::metricsJson(registries());
 }
 
 } // namespace ecolo::serve

@@ -18,10 +18,15 @@
  *   them via the PR-2 checkpoint layer, answering DRAINED with the
  *   checkpoint path -- then joins every thread.
  *
- * Serving statistics are kept in plain atomically-updated structs
- * (always on) and mirrored into the telemetry registry as serve.* by
- * metricsJson(), so a --metrics-out dump carries them alongside the
- * engine's own stats.
+ * Serving statistics live in per-instance telemetry registries, always
+ * on (also with telemetry compiled out): the result cache's
+ * serve.cache.*, the scheduler's serve.requests.*, serve.dispatch.*,
+ * serve.batch.*, serve.queue.* and queue-wait tails, and the server's
+ * own serve.connections.*, serve.protocol.*, serve.journal.*,
+ * serve.setup_cache.* and per-lane serve.latency.* tails. metricsJson()
+ * dumps them, followed by the process registry's engine stats, as one
+ * edgetherm-metrics-v1 document; two servers in one process never see
+ * each other's counts.
  */
 
 #ifndef ECOLO_SERVE_SERVER_HH
@@ -155,32 +160,18 @@ class Server
     void waitUntilStopped();
 
     /** Introspection for tests and the stats endpoint. */
-    ResultCache::Stats cacheStats() const { return cache_.stats(); }
-    Scheduler::Stats schedulerStats() const { return scheduler_.stats(); }
     core::SetupCache::Counters setupCacheCounters() const
     { return setupCache_->counters(); }
 
-    /** Journal counters (zeros when no journalDir is configured). */
-    struct JournalStats
-    {
-        std::uint64_t recovered = 0; //!< pending found at startup
-        std::uint64_t replayed = 0;  //!< replays that reached an outcome
-        std::uint64_t pending = 0;   //!< recovered minus replayed
-        std::uint64_t appendFailures = 0;
-    };
-    JournalStats journalStats() const;
-
-    /** Per-lane request latency (submit receipt -> terminal frame). */
-    telemetry::TailLatency::Snapshot latencySnapshot(Lane lane) const
-    { return latency_[static_cast<int>(lane)].snapshot(); }
-
-    /** Requests answered with ErrorReply{DeadlineExceeded}. */
-    std::uint64_t deadlineExceededCount() const
-    { return deadlineExceeded_.load(std::memory_order_relaxed); }
+    /**
+     * A stat from any of this server's registries, or nullptr. The
+     * serve.setup_cache.* sums are refreshed by metricsJson() only.
+     */
+    const telemetry::StatBase *find(const std::string &name) const;
 
     /**
-     * Mirror serve.* stats into the telemetry registry and render the
-     * edgetherm-metrics-v1 JSON document.
+     * The edgetherm-metrics-v1 JSON document: this server's registries
+     * followed by the process registry.
      */
     std::string metricsJson() const;
 
@@ -235,9 +226,13 @@ class Server
     void replayRecovered();
     void recordLatency(Lane lane,
                        std::chrono::steady_clock::time_point received);
+    /** A journal-recovered run reached its outcome. */
+    void recordReplayed();
     void recordJournalOutcome(std::uint64_t request_id,
                               JournalOutcome outcome);
     void reapHandlerThreadsLocked();
+    /** Cache, scheduler, then the server's own registry. */
+    std::vector<const telemetry::Registry *> registries() const;
 
     const ServerOptions options_;
     util::TcpListener listener_;
@@ -249,18 +244,37 @@ class Server
     const std::shared_ptr<core::SetupCache> setupCache_ =
         std::make_shared<core::SetupCache>();
     std::unique_ptr<RequestJournal> journal_;
-    mutable telemetry::TailLatency latency_[2];
 
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
     std::atomic<std::uint64_t> nextRequestId_{1};
 
-    std::atomic<std::uint64_t> connectionsAccepted_{0};
-    std::atomic<std::uint64_t> protocolErrors_{0};
-    std::atomic<std::uint64_t> deadlineExceeded_{0};
-    std::atomic<std::uint64_t> journalRecovered_{0};
-    std::atomic<std::uint64_t> journalReplayed_{0};
-    std::atomic<std::uint64_t> journalAppendFailures_{0};
+    telemetry::Registry stats_;
+    telemetry::Counter &connectionsAccepted_ =
+        stats_.counter("serve.connections.accepted");
+    telemetry::Counter &protocolErrors_ =
+        stats_.counter("serve.protocol.errors");
+    telemetry::Counter &deadlineExceeded_ =
+        stats_.counter("serve.requests.deadline_exceeded");
+    telemetry::Counter &journalRecovered_ =
+        stats_.counter("serve.journal.recovered");
+    telemetry::Counter &journalReplayed_ =
+        stats_.counter("serve.journal.replayed");
+    telemetry::Gauge &journalPending_ = stats_.gauge("serve.journal.pending");
+    telemetry::Counter &journalAppendFailures_ =
+        stats_.counter("serve.journal.append_failures");
+    /** core::SetupCache sums, refreshed by metricsJson(). */
+    telemetry::Gauge &setupHits_ = stats_.gauge("serve.setup_cache.hits");
+    telemetry::Gauge &setupMisses_ =
+        stats_.gauge("serve.setup_cache.misses");
+    telemetry::Gauge &setupTraceHits_ =
+        stats_.gauge("serve.setup_cache.trace_hits");
+    telemetry::Gauge &setupFactorizationHits_ =
+        stats_.gauge("serve.setup_cache.factorization_hits");
+    /** Submit receipt to terminal frame, indexed by Lane. */
+    telemetry::TailLatency *const latency_[2] = {
+        &stats_.tail("serve.latency.interactive", "_us"),
+        &stats_.tail("serve.latency.batch", "_us")};
 
     std::thread schedulerThread_;
     std::thread acceptThread_;

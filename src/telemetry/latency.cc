@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "telemetry/stats.hh"
+#include <sstream>
 
 namespace ecolo::telemetry {
 
 TailLatency::TailLatency(std::size_t sample_capacity)
-    : sampleCapacity_(std::max<std::size_t>(1, sample_capacity)),
+    : TailLatency(std::string(), std::string(), sample_capacity)
+{}
+
+TailLatency::TailLatency(std::string name, std::string unit,
+                         std::size_t sample_capacity)
+    : StatBase(std::move(name), StatKind::Tail),
+      unit_(std::move(unit)),
+      sampleCapacity_(std::max<std::size_t>(1, sample_capacity)),
       buckets_(TelemetryHistogram::kNumBuckets, 0)
 {
     samples_.reserve(std::min<std::size_t>(sampleCapacity_, 1024));
@@ -116,6 +122,35 @@ TailLatency::snapshot() const
         s.p99 = quantileLocked(0.99);
     }
     return s;
+}
+
+void
+TailLatency::appendJson(std::ostream &os) const
+{
+    const Snapshot s = snapshot();
+    os << "\"" << name() << ".count\":{\"kind\":\"tail\",\"value\":"
+       << s.count << "}";
+    const std::pair<const char *, double> fields[] = {
+        {"mean", s.mean}, {"jitter", s.jitter}, {"min", s.min},
+        {"max", s.max},   {"p50", s.p50},       {"p95", s.p95},
+        {"p99", s.p99},
+    };
+    for (const auto &[field, value] : fields) {
+        os << ",\"" << name() << "." << field << unit_
+           << "\":{\"kind\":\"tail\",\"value\":";
+        appendJsonNumber(os, value);
+        os << "}";
+    }
+}
+
+std::string
+TailLatency::textValue() const
+{
+    const Snapshot s = snapshot();
+    std::ostringstream oss;
+    oss << "n=" << s.count << " mean=" << s.mean << " p50=" << s.p50
+        << " p99=" << s.p99 << " max=" << s.max;
+    return oss.str();
 }
 
 } // namespace ecolo::telemetry

@@ -7,25 +7,13 @@
 #include <limits>
 #include <sstream>
 
+#include "telemetry/latency.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
 namespace ecolo::telemetry {
 
 namespace {
-
-/** JSON-format a double: finite values round-trip, non-finite as null. */
-void
-appendJsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::ostringstream oss;
-    oss << std::setprecision(17) << v;
-    os << oss.str();
-}
 
 /** Relaxed CAS accumulate (atomic<double> has no fetch_add pre-C++20
  * library support everywhere). */
@@ -58,6 +46,19 @@ atomicMax(std::atomic<double> &target, double v)
 
 } // namespace
 
+/** Finite values round-trip at 17 digits; non-finite ones are null. */
+void
+appendJsonNumber(std::ostream &os, double v)
+{
+    if (!std::isfinite(v)) {
+        os << "null";
+        return;
+    }
+    std::ostringstream oss;
+    oss << std::setprecision(17) << v;
+    os << oss.str();
+}
+
 const char *
 toString(StatKind kind)
 {
@@ -70,8 +71,28 @@ toString(StatKind kind)
         return "scalar";
       case StatKind::Histogram:
         return "histogram";
+      case StatKind::Tail:
+        return "tail";
     }
     return "unknown";
+}
+
+double
+statValue(const StatBase *stat)
+{
+    if (stat == nullptr)
+        return std::numeric_limits<double>::quiet_NaN();
+    switch (stat->kind()) {
+      case StatKind::Counter:
+        return static_cast<double>(
+            static_cast<const Counter *>(stat)->value());
+      case StatKind::Gauge:
+        return static_cast<const Gauge *>(stat)->value();
+      case StatKind::Scalar:
+        return static_cast<const ScalarStat *>(stat)->value();
+      default:
+        return std::numeric_limits<double>::quiet_NaN();
+    }
 }
 
 // ---- Counter / Gauge / ScalarStat ----
@@ -79,7 +100,8 @@ toString(StatKind kind)
 void
 Counter::appendJson(std::ostream &os) const
 {
-    os << "{\"kind\":\"counter\",\"value\":" << value() << "}";
+    os << "\"" << name() << "\":{\"kind\":\"counter\",\"value\":"
+       << value() << "}";
 }
 
 std::string
@@ -89,9 +111,15 @@ Counter::textValue() const
 }
 
 void
+Gauge::add(double delta)
+{
+    atomicAdd(value_, delta);
+}
+
+void
 Gauge::appendJson(std::ostream &os) const
 {
-    os << "{\"kind\":\"gauge\",\"value\":";
+    os << "\"" << name() << "\":{\"kind\":\"gauge\",\"value\":";
     appendJsonNumber(os, value());
     os << "}";
 }
@@ -107,7 +135,7 @@ Gauge::textValue() const
 void
 ScalarStat::appendJson(std::ostream &os) const
 {
-    os << "{\"kind\":\"scalar\",\"value\":";
+    os << "\"" << name() << "\":{\"kind\":\"scalar\",\"value\":";
     appendJsonNumber(os, value());
     os << "}";
 }
@@ -196,8 +224,8 @@ TelemetryHistogram::max() const
 void
 TelemetryHistogram::appendJson(std::ostream &os) const
 {
-    os << "{\"kind\":\"histogram\",\"count\":" << count()
-       << ",\"rejected\":" << rejected() << ",\"sum\":";
+    os << "\"" << name() << "\":{\"kind\":\"histogram\",\"count\":"
+       << count() << ",\"rejected\":" << rejected() << ",\"sum\":";
     appendJsonNumber(os, sum());
     os << ",\"mean\":";
     appendJsonNumber(os, mean());
@@ -270,16 +298,18 @@ Registry::validName(const std::string &name)
     return true;
 }
 
-template <typename T>
+template <typename T, typename... Args>
 T &
-Registry::getOrCreate(const std::string &name, StatKind kind)
+Registry::getOrCreate(const std::string &name, StatKind kind,
+                      Args &&...args)
 {
     ECOLO_ASSERT(validName(name), "invalid stat name '", name,
                  "' (expected dotted [A-Za-z0-9_-] segments)");
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = stats_.find(name);
     if (it == stats_.end()) {
-        auto stat = std::make_unique<T>(name);
+        auto stat =
+            std::make_unique<T>(name, std::forward<Args>(args)...);
         T &ref = *stat;
         stats_.emplace(name, std::move(stat));
         return ref;
@@ -315,6 +345,12 @@ Registry::histogram(const std::string &name)
     return getOrCreate<TelemetryHistogram>(name, StatKind::Histogram);
 }
 
+TailLatency &
+Registry::tail(const std::string &name, const std::string &unit)
+{
+    return getOrCreate<TailLatency>(name, StatKind::Tail, unit);
+}
+
 const StatBase *
 Registry::find(const std::string &name) const
 {
@@ -343,15 +379,35 @@ Registry::dumpText(std::ostream &os) const
 void
 Registry::dumpJson(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    dumpJson(os, {this});
+}
+
+void
+Registry::dumpJson(std::ostream &os,
+                   const std::vector<const Registry *> &registries)
+{
+    // Each registry renders under its own lock; none is held while
+    // another is taken.
+    std::vector<std::pair<std::string, std::string>> members;
+    for (const Registry *reg : registries) {
+        std::lock_guard<std::mutex> lock(reg->mutex_);
+        for (const auto &[name, stat] : reg->stats_) {
+            std::ostringstream member;
+            stat->appendJson(member);
+            members.emplace_back(name, member.str());
+        }
+    }
+    std::stable_sort(members.begin(), members.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
     os << "{\"schema\":\"edgetherm-metrics-v1\",\"stats\":{";
-    bool first = true;
-    for (const auto &[name, stat] : stats_) {
-        if (!first)
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        if (i > 0 && members[i].first == members[i - 1].first)
+            continue; // registered in an earlier registry too
+        if (i > 0)
             os << ",";
-        first = false;
-        os << "\"" << name << "\":";
-        stat->appendJson(os);
+        os << members[i].second;
     }
     os << "}}\n";
 }

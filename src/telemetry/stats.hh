@@ -4,22 +4,32 @@
  * hierarchical simulation statistics collected into a Registry and dumped
  * as aligned text or machine-readable JSON.
  *
- * Four stat kinds cover what the simulator needs:
+ * Five stat kinds cover what the simulator needs:
  *
  * - Counter:    monotonically increasing event count
  *               (`engine.emergency.declared`).
- * - Gauge:      last-written instantaneous value (`battery.soc`).
+ * - Gauge:      last-written or accumulated instantaneous value
+ *               (`battery.soc`, `serve.queue.depth`).
  * - ScalarStat: a computed result written once per run
  *               (`engine.emergency.fraction`).
  * - Histogram:  fixed log-scale (base-2) buckets plus count/sum/min/max,
  *               for durations and error magnitudes
  *               (`sidechannel.estimate_error_kw`, `profile.*_us`).
+ * - Tail:       telemetry::TailLatency (latency.hh), exact p50/p95/p99
+ *               and jitter; dumps as flat `<name>.p99<unit>`-style
+ *               entries (`serve.latency.interactive.p99_us`).
  *
  * Stats are registered by dotted hierarchical name; asking for the same
  * name and kind again returns the same instance (so independent modules
  * can share a stat), while re-registering a name under a different kind
  * is a programming error and panics. All mutators are thread-safe: fleet
  * campaigns update shared stats from pool workers.
+ *
+ * Besides the process-wide registry (telemetry.hh), every serving
+ * component owns a Registry, registers its stats once at construction,
+ * and keeps the returned references for its hot paths. A metrics
+ * document is the merged dump of a component's registries followed by
+ * the process registry (Registry::dumpJson over a list).
  */
 
 #ifndef ECOLO_TELEMETRY_STATS_HH
@@ -45,9 +55,13 @@ enum class StatKind
     Gauge,
     Scalar,
     Histogram,
+    Tail,
 };
 
 const char *toString(StatKind kind);
+
+/** JSON-format a double: finite values round-trip, non-finite as null. */
+void appendJsonNumber(std::ostream &os, double v);
 
 /** Shared base so the registry can own a heterogeneous map. */
 class StatBase
@@ -64,7 +78,10 @@ class StatBase
     const std::string &name() const { return name_; }
     StatKind kind() const { return kind_; }
 
-    /** Append this stat's value(s) as a JSON object (no trailing comma). */
+    /**
+     * Append this stat's `"name":{...}` JSON member (no surrounding
+     * commas); a tail appends several flat members.
+     */
     virtual void appendJson(std::ostream &os) const = 0;
     /** One-line human-readable rendering for the text dump. */
     virtual std::string textValue() const = 0;
@@ -106,6 +123,8 @@ class Gauge : public StatBase
     {}
 
     void set(double v) { value_.store(v, std::memory_order_relaxed); }
+    /** Accumulate (e.g. +1/-1 as connections open and close). */
+    void add(double delta);
     double value() const { return value_.load(std::memory_order_relaxed); }
 
     void appendJson(std::ostream &os) const override;
@@ -187,6 +206,14 @@ class TelemetryHistogram : public StatBase
     std::atomic<double> max_{0.0};
 };
 
+class TailLatency;
+
+/**
+ * The numeric value of a counter, gauge or scalar; NaN for a null
+ * pointer or a multi-valued stat (histogram, tail).
+ */
+double statValue(const StatBase *stat);
+
 /**
  * The stats registry: dotted-name -> stat instance. Registration is
  * thread-safe and idempotent per (name, kind); returned references stay
@@ -200,6 +227,11 @@ class Registry
     Gauge &gauge(const std::string &name);
     ScalarStat &scalar(const std::string &name);
     TelemetryHistogram &histogram(const std::string &name);
+    /**
+     * A tail-latency stat; `unit` suffixes its dumped entries except
+     * the count (`"_us"`: `<name>.count`, `<name>.p99_us`, ...).
+     */
+    TailLatency &tail(const std::string &name, const std::string &unit);
 
     /** Look up any stat by name; nullptr when absent. */
     const StatBase *find(const std::string &name) const;
@@ -213,6 +245,13 @@ class Registry
     void dumpText(std::ostream &os) const;
     /** One JSON object keyed by stat name, sorted, schema-versioned. */
     void dumpJson(std::ostream &os) const;
+    /**
+     * One edgetherm-metrics-v1 document over several registries, keys
+     * merged in name order; a name registered in more than one is
+     * written once, from the first registry listed.
+     */
+    static void dumpJson(std::ostream &os,
+                         const std::vector<const Registry *> &registries);
     /** dumpJson to a file (atomic enough for a run-end sink). */
     util::Result<void> writeJsonFile(const std::string &path) const;
 
@@ -222,8 +261,9 @@ class Registry
     void clear();
 
   private:
-    template <typename T>
-    T &getOrCreate(const std::string &name, StatKind kind);
+    template <typename T, typename... Args>
+    T &getOrCreate(const std::string &name, StatKind kind,
+                   Args &&...args);
 
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<StatBase>> stats_;

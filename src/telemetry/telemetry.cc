@@ -1,5 +1,7 @@
 #include "telemetry/telemetry.hh"
 
+#include <sstream>
+
 #include "util/parallel.hh"
 
 namespace ecolo::telemetry {
@@ -51,6 +53,15 @@ registry()
 {
     static Registry instance;
     return instance;
+}
+
+std::string
+metricsJson(std::vector<const Registry *> own)
+{
+    own.push_back(&registry());
+    std::ostringstream os;
+    Registry::dumpJson(os, own);
+    return os.str();
 }
 
 EventLog &

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "telemetry/events.hh"
 #include "telemetry/stats.hh"
@@ -62,6 +63,13 @@ void setEnabled(bool on);
 
 /** The process-wide stats registry. */
 Registry &registry();
+/**
+ * The edgetherm-metrics-v1 document of one component: its own
+ * registries, then the process registry (engine.*, lanebatch.*,
+ * profile.*), merged by name. The component's stats win a name clash.
+ */
+std::string metricsJson(std::vector<const Registry *> own);
+
 /** The process-wide structured event log. */
 EventLog &events();
 /** The process-wide Chrome-trace session (inactive until begin()). */

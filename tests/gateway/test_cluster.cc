@@ -16,10 +16,13 @@
 
 #include "gateway/cluster.hh"
 #include "serve/result_cache.hh"
+#include "stat_reader.hh"
 #include "util/rng.hh"
 
 namespace ecolo::gateway {
 namespace {
+
+using test::readStat;
 
 std::vector<WorkerAddress>
 makeWorkers(std::size_t n, std::uint16_t base_port = 7471)
@@ -185,6 +188,22 @@ TEST(GatewayRendezvous, UnhealthyWorkersSinkToTheBack)
     EXPECT_EQ(pool.healthyCount(), 4u);
 }
 
+TEST(GatewayRendezvous, HealthGaugesTrackTheFlag)
+{
+    WorkerPool pool(makeWorkers(3), noProbe());
+    const telemetry::Registry &stats = pool.stats();
+    EXPECT_EQ(readStat(stats, "gateway.workers.total"), 3.0);
+    EXPECT_EQ(readStat(stats, "gateway.workers.healthy"), 3.0);
+    pool.setHealthy(1, false);
+    pool.setHealthy(1, false); // not a transition: no double count
+    EXPECT_EQ(readStat(stats, "gateway.worker.1.healthy"), 0.0);
+    EXPECT_EQ(readStat(stats, "gateway.workers.healthy"), 2.0);
+    pool.setHealthy(1, true);
+    pool.setHealthy(1, true);
+    EXPECT_EQ(readStat(stats, "gateway.worker.1.healthy"), 1.0);
+    EXPECT_EQ(readStat(stats, "gateway.workers.healthy"), 3.0);
+}
+
 TEST(GatewayRendezvous, AllWorkersUnreachableIsATypedError)
 {
     // Ports in the dynamic range with nothing listening: connect fails
@@ -204,9 +223,11 @@ TEST(GatewayRendezvous, AllWorkersUnreachableIsATypedError)
               std::string::npos)
         << outcome.error().message;
     EXPECT_EQ(pool.healthyCount(), 0u);
-    EXPECT_EQ(pool.counters(0).transportErrors +
-                  pool.counters(1).transportErrors,
-              2u);
+    EXPECT_EQ(readStat(pool.stats(), "gateway.worker.0.transport_errors") +
+                  readStat(pool.stats(), "gateway.worker.1.transport_errors"),
+              2.0);
+    EXPECT_EQ(readStat(pool.stats(), "gateway.workers.healthy"), 0.0);
+    EXPECT_EQ(readStat(pool.stats(), "gateway.worker.1.healthy"), 0.0);
 }
 
 } // namespace

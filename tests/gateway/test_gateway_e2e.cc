@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <sstream>
@@ -27,6 +28,7 @@
 #include "gateway/http.hh"
 #include "gateway/json.hh"
 #include "serve/server.hh"
+#include "stat_reader.hh"
 #include "util/keyvalue.hh"
 #include "util/sim_time.hh"
 #include "util/socket.hh"
@@ -35,6 +37,7 @@ namespace ecolo::gateway {
 namespace {
 
 using namespace std::chrono_literals;
+using test::readStat;
 
 /** One worker server on an ephemeral port; drained at scope exit. */
 class WorkerHarness
@@ -54,6 +57,7 @@ class WorkerHarness
     }
 
     std::uint16_t port() const { return server_.port(); }
+    const serve::Server &server() const { return server_; }
 
   private:
     serve::Server server_;
@@ -322,9 +326,10 @@ TEST(GatewayE2E, FailoverFromDeadWorkerCompletesTheRun)
 
     // The walk marked the dead worker out and counted the failover.
     EXPECT_FALSE(gw->pool().healthy(0));
-    EXPECT_GE(gw->pool().counters(0).transportErrors, 1u);
-    EXPECT_GE(gw->pool().counters(0).failoversFrom, 1u);
-    EXPECT_GE(gw->pool().counters(1).answered, 1u);
+    EXPECT_GE(readStat(*gw, "gateway.worker.0.transport_errors"), 1.0);
+    EXPECT_GE(readStat(*gw, "gateway.worker.0.failovers_from"), 1.0);
+    EXPECT_GE(readStat(*gw, "gateway.worker.1.answered"), 1.0);
+    EXPECT_EQ(readStat(*gw, "gateway.worker.0.healthy"), 0.0);
 }
 
 TEST(GatewayE2E, StreamingRunEmitsNdjsonEventsThenTheEnvelope)
@@ -602,6 +607,10 @@ TEST(GatewayE2E, StatsDocumentCarriesGatewayMetrics)
     EXPECT_GE(metric("gateway.worker.0.serve.setup_cache.misses"), 1.0);
     EXPECT_GE(metric("gateway.cluster.setup_cache.misses"), 1.0);
     EXPECT_GE(metric("gateway.cluster.batch.batches"), 0.0);
+    // Only mirrored: the in-process worker's own stats stay in the
+    // worker's document.
+    EXPECT_EQ(stats->member("serve.cache.hits"), nullptr);
+    EXPECT_EQ(stats->member("serve.requests.completed"), nullptr);
 
     // healthz agrees.
     auto health = request(gw.port(), httpGet("/v1/healthz"));
@@ -609,6 +618,150 @@ TEST(GatewayE2E, StatsDocumentCarriesGatewayMetrics)
     const JsonValue hd = jsonBody(health.value());
     EXPECT_EQ(hd.member("status")->asString(), "ok");
     EXPECT_DOUBLE_EQ(hd.member("workers")->asNumber(), 1.0);
+}
+
+/**
+ * Every key of the worker and gateway metrics documents, which CI
+ * (ci.yml), bench/e2e/main.cc and the serve tests read by name. Tail
+ * stats may add entries; none of these may go missing or lose its
+ * numeric "value".
+ */
+std::vector<std::string>
+serveMetricKeys()
+{
+    std::vector<std::string> keys = {
+        "serve.cache.hits",
+        "serve.cache.misses",
+        "serve.cache.evictions",
+        "serve.cache.insertions",
+        "serve.cache.oversize_rejected",
+        "serve.cache.entries",
+        "serve.cache.bytes",
+        "serve.requests.submitted",
+        "serve.requests.admitted",
+        "serve.requests.rejected_queue_full",
+        "serve.requests.rejected_draining",
+        "serve.requests.completed",
+        "serve.requests.cancelled",
+        "serve.requests.deadline_exceeded",
+        "serve.requests.deadline_expired_queued",
+        "serve.dispatch.interactive",
+        "serve.dispatch.batch",
+        "serve.batch.batches",
+        "serve.batch.batched_requests",
+        "serve.batch.scalar_fallbacks",
+        "serve.batch.window_waits",
+        "serve.batch.max_occupancy",
+        "serve.batch.occupancy.count",
+        "serve.batch.occupancy.mean",
+        "serve.batch.occupancy.p50",
+        "serve.batch.occupancy.p99",
+        "serve.batch.occupancy.max",
+        "serve.batch.window_delay.count",
+        "serve.batch.window_delay.mean_us",
+        "serve.batch.window_delay.p99_us",
+        "serve.batch.window_delay.max_us",
+        "serve.setup_cache.hits",
+        "serve.setup_cache.misses",
+        "serve.setup_cache.trace_hits",
+        "serve.setup_cache.factorization_hits",
+        "serve.queue.depth",
+        "serve.queue.running",
+        "serve.connections.accepted",
+        "serve.protocol.errors",
+        "serve.journal.recovered",
+        "serve.journal.replayed",
+        "serve.journal.pending",
+        "serve.journal.append_failures",
+    };
+    for (const char *lane : {"interactive", "batch", "interactive.queue_wait",
+                             "batch.queue_wait"}) {
+        for (const char *field : {"count", "mean_us", "jitter_us", "min_us",
+                                  "max_us", "p50_us", "p95_us", "p99_us"})
+            keys.push_back(std::string("serve.latency.") + lane + "." +
+                           field);
+    }
+    return keys;
+}
+
+std::vector<std::string>
+gatewayMetricKeys()
+{
+    std::vector<std::string> keys = {
+        "gateway.connections.accepted",
+        "gateway.connections.rejected",
+        "gateway.connections.active",
+        "gateway.connections.idle_closed",
+        "gateway.http.requests",
+        "gateway.http.responses_2xx",
+        "gateway.http.responses_4xx",
+        "gateway.http.responses_5xx",
+        "gateway.http.parse_errors",
+        "gateway.http.expect_continue",
+        "gateway.http.bytes_in",
+        "gateway.http.bytes_out",
+        "gateway.runs.submitted",
+        "gateway.runs.completed",
+        "gateway.runs.failed",
+        "gateway.runs.streaming",
+        "gateway.runs.async",
+        "gateway.workers.total",
+        "gateway.workers.healthy",
+        "gateway.cluster.batch.batches",
+        "gateway.cluster.batch.batched_requests",
+        "gateway.cluster.setup_cache.hits",
+        "gateway.cluster.setup_cache.misses",
+    };
+    for (const char *route : {"runs", "stats", "other"}) {
+        for (const char *field :
+             {"count", "mean_us", "jitter_us", "p50_us", "p95_us", "p99_us"})
+            keys.push_back(std::string("gateway.latency.") + route + "." +
+                           field);
+    }
+    for (const char *field :
+         {"forwarded", "answered", "cache_hits", "retry_later",
+          "transport_errors", "failovers_from", "probes", "probe_failures",
+          "healthy", "serve.batch.batches", "serve.batch.batched_requests",
+          "serve.batch.scalar_fallbacks", "serve.batch.max_occupancy",
+          "serve.batch.occupancy.mean", "serve.batch.window_delay.p99_us",
+          "serve.setup_cache.hits", "serve.setup_cache.misses"})
+        keys.push_back(std::string("gateway.worker.0.") + field);
+    return keys;
+}
+
+/** Each key is a member of the document's stats with a numeric value. */
+void
+expectNumericKeys(const std::string &document,
+                  const std::vector<std::string> &keys)
+{
+    auto parsed = JsonValue::parse(document);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().describe();
+    ASSERT_NE(parsed.value().member("schema"), nullptr);
+    EXPECT_EQ(parsed.value().member("schema")->asString(),
+              "edgetherm-metrics-v1");
+    const JsonValue *stats = parsed.value().member("stats");
+    ASSERT_NE(stats, nullptr);
+    for (const std::string &key : keys) {
+        const JsonValue *stat = stats->member(key);
+        const JsonValue *value =
+            stat != nullptr ? stat->member("value") : nullptr;
+        EXPECT_TRUE(value != nullptr && value->isNumber())
+            << key << " missing or not numeric";
+    }
+}
+
+TEST(GatewayE2E, MetricsDocumentsKeepEveryKey)
+{
+    WorkerHarness w1;
+    GatewayHarness gw({{"127.0.0.1", w1.port()}}, fastOptions());
+    ASSERT_TRUE(request(gw.port(),
+                        httpPost("/v1/runs", runBody(73))).ok());
+
+    auto resp = request(gw.port(), httpGet("/v1/stats"));
+    ASSERT_TRUE(resp.ok()) << resp.error().describe();
+    ASSERT_EQ(resp.value().status, 200);
+    expectNumericKeys(resp.value().body, gatewayMetricKeys());
+    expectNumericKeys(w1.server().metricsJson(), serveMetricKeys());
 }
 
 TEST(GatewayE2E, ChaosShortOpsAreInvisibleToTheByteStream)
@@ -684,6 +837,45 @@ TEST(GatewayE2E, DrainingGatewayRejectsNewConnectionsWith503)
         ASSERT_LT(std::chrono::steady_clock::now(), deadline);
         std::this_thread::sleep_for(5ms);
     }
+}
+
+// The event loop owns the connection table; /v1/stats renders on a
+// forwarder thread. Churning connections while polling the stats route
+// must not touch loop-owned state off the loop (the TSan job runs this
+// under `ctest -R Parallel`).
+TEST(GatewayParallel, StatsWhileConnectionsChurn)
+{
+    WorkerHarness w1;
+    GatewayHarness gw({{"127.0.0.1", w1.port()}}, fastOptions());
+    const std::uint16_t port = gw.port();
+
+    std::atomic<bool> stop{false};
+    std::thread churn([port, &stop] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            auto conn = util::connectLoopback(port);
+            (void)conn; // opened and dropped at once
+        }
+    });
+    int served = 0;
+    for (int i = 0; i < 50; ++i) {
+        auto resp = request(port, httpGet("/v1/stats"));
+        if (!resp.ok() || resp.value().status != 200)
+            break;
+        const JsonValue doc = jsonBody(resp.value());
+        const JsonValue *active =
+            doc.member("stats")
+                ? doc.member("stats")->member("gateway.connections.active")
+                : nullptr;
+        if (active == nullptr || active->member("value") == nullptr ||
+            !active->member("value")->isNumber())
+            break;
+        // The polling connection itself is open while the document renders.
+        EXPECT_GE(active->member("value")->asNumber(), 1.0);
+        ++served;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    churn.join();
+    EXPECT_EQ(served, 50);
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "faults/chaos.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "stat_reader.hh"
 #include "util/keyvalue.hh"
 #include "util/sim_time.hh"
 #include "util/socket.hh"
@@ -37,6 +38,7 @@ namespace ecolo::serve {
 namespace {
 
 using namespace std::chrono_literals;
+using test::readStat;
 
 /** Server on an ephemeral port; drained and joined at scope exit. */
 class ServerHarness
@@ -180,13 +182,12 @@ checkCampaignMatchesDirectRender(std::size_t lanes)
     ASSERT_EQ(failures.load(), 0);
 
     // Batching happened exactly when lanes allow it.
-    const auto stats = harness->schedulerStats();
     if (lanes > 1) {
-        EXPECT_GE(stats.batchesDispatched, 1u);
-        EXPECT_GE(stats.batchMaxOccupancy, 2u);
+        EXPECT_GE(readStat(*harness, "serve.batch.batches"), 1.0);
+        EXPECT_GE(readStat(*harness, "serve.batch.max_occupancy"), 2.0);
     } else {
-        EXPECT_EQ(stats.batchesDispatched, 0u);
-        EXPECT_EQ(stats.batchedJobs, 0u);
+        EXPECT_EQ(readStat(*harness, "serve.batch.batches"), 0.0);
+        EXPECT_EQ(readStat(*harness, "serve.batch.batched_requests"), 0.0);
     }
 
     // Every response is byte-identical to the direct render.
@@ -300,7 +301,7 @@ checkCancelAndDeadlineMix(std::size_t lanes)
     // The mix still produced real batches (when lanes allow), and every
     // member that completed is byte-identical to the direct render.
     if (lanes > 1)
-        EXPECT_GE(harness->schedulerStats().batchesDispatched, 1u);
+        EXPECT_GE(readStat(*harness, "serve.batch.batches"), 1.0);
     ASSERT_EQ(completed.size(), 4u);
     auto shared = std::make_shared<core::SetupCache>();
     for (const auto &[spec, report] : completed)

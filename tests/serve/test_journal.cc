@@ -19,10 +19,13 @@
 #include "serve/client.hh"
 #include "serve/journal.hh"
 #include "serve/server.hh"
+#include "stat_reader.hh"
 #include "util/sim_time.hh"
 
 namespace ecolo::serve {
 namespace {
+
+using test::readStat;
 
 /** A unique scratch directory under the build tree. */
 std::string
@@ -244,12 +247,12 @@ TEST(RequestJournal, ServerReplaysPendingAdmitsIntoTheCache)
         Server server(options);
         ASSERT_TRUE(server.start().ok());
         // Replay happens on scheduler workers; poll until it lands.
-        for (int i = 0; i < 200 && server.journalStats().pending > 0; ++i)
+        for (int i = 0;
+             i < 200 && readStat(server, "serve.journal.pending") > 0.0; ++i)
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        const Server::JournalStats stats = server.journalStats();
-        EXPECT_EQ(stats.recovered, 1u);
-        EXPECT_EQ(stats.replayed, 1u);
-        EXPECT_EQ(stats.pending, 0u);
+        EXPECT_EQ(readStat(server, "serve.journal.recovered"), 1.0);
+        EXPECT_EQ(readStat(server, "serve.journal.replayed"), 1.0);
+        EXPECT_EQ(readStat(server, "serve.journal.pending"), 0.0);
 
         ServeClient client(server.port());
         RequestSpec spec;

@@ -13,10 +13,13 @@
 
 #include "core/version.hh"
 #include "serve/result_cache.hh"
+#include "stat_reader.hh"
 #include "util/keyvalue.hh"
 
 namespace ecolo::serve {
 namespace {
+
+using test::readStat;
 
 KeyValueConfig
 parseScenario(const std::string &text)
@@ -96,12 +99,13 @@ TEST(ServeResultCache, HitReturnsInsertedBytesAndCounts)
     const auto hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, "report-bytes");
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.insertions, 1u);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.bytes, std::string("report-bytes").size());
+    const auto &stats = cache.stats();
+    EXPECT_EQ(readStat(stats, "serve.cache.hits"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.cache.misses"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.cache.insertions"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.cache.entries"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.cache.bytes"),
+              static_cast<double>(std::string("report-bytes").size()));
 }
 
 TEST(ServeResultCache, DuplicateInsertKeepsOriginalBytes)
@@ -111,7 +115,7 @@ TEST(ServeResultCache, DuplicateInsertKeepsOriginalBytes)
     cache.insert(key, "first");
     cache.insert(key, "second");
     EXPECT_EQ(*cache.lookup(key), "first");
-    EXPECT_EQ(cache.stats().insertions, 1u);
+    EXPECT_EQ(readStat(cache.stats(), "serve.cache.insertions"), 1.0);
 }
 
 TEST(ServeResultCache, EvictsLeastRecentlyUsedOnEntryBudget)
@@ -124,7 +128,7 @@ TEST(ServeResultCache, EvictsLeastRecentlyUsedOnEntryBudget)
     EXPECT_TRUE(cache.lookup(CacheKey{1}).has_value());
     EXPECT_FALSE(cache.lookup(CacheKey{2}).has_value());
     EXPECT_TRUE(cache.lookup(CacheKey{3}).has_value());
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(readStat(cache.stats(), "serve.cache.evictions"), 1.0);
 }
 
 TEST(ServeResultCache, EvictsOnByteBudget)
@@ -134,7 +138,7 @@ TEST(ServeResultCache, EvictsOnByteBudget)
     cache.insert(CacheKey{2}, "bbbbbb"); // 12 total -> evict 1
     EXPECT_FALSE(cache.lookup(CacheKey{1}).has_value());
     EXPECT_TRUE(cache.lookup(CacheKey{2}).has_value());
-    EXPECT_LE(cache.stats().bytes, 10u);
+    EXPECT_LE(readStat(cache.stats(), "serve.cache.bytes"), 10.0);
 }
 
 TEST(ServeResultCache, OversizeValueIsRejectedNotCached)
@@ -142,8 +146,9 @@ TEST(ServeResultCache, OversizeValueIsRejectedNotCached)
     ResultCache cache(4, 100);
     cache.insert(CacheKey{1}, "too-big-for-the-whole-cache");
     EXPECT_FALSE(cache.lookup(CacheKey{1}).has_value());
-    EXPECT_EQ(cache.stats().oversizeRejected, 1u);
-    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(readStat(cache.stats(), "serve.cache.oversize_rejected"),
+              1.0);
+    EXPECT_EQ(readStat(cache.stats(), "serve.cache.entries"), 0.0);
 }
 
 TEST(ServeResultCache, Fnv1a64MatchesReferenceVectors)

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "serve/scheduler.hh"
+#include "stat_reader.hh"
 
 namespace ecolo::serve {
 namespace {
@@ -38,6 +39,8 @@ using namespace std::chrono_literals;
 
 /** A test job body, stored as the job's payload. */
 using Body = std::function<void(const CancelToken &)>;
+using test::readStat;
+using test::readTail;
 
 /** The test executor: runs each member's Body, if it carries one. */
 void
@@ -233,9 +236,9 @@ TEST(ServeSchedulerParallel, BatchIsBoostedUnderInteractiveFlood)
     const std::vector<int> order = log.order();
     ASSERT_EQ(order.size(), 7u);
     EXPECT_NE(order.back(), 99);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.dispatchedBatch, 1u);
-    EXPECT_EQ(stats.dispatchedInteractive, 7u);
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.dispatch.batch"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.dispatch.interactive"), 7.0);
 }
 
 TEST(ServeSchedulerParallel, ClientsAreServedRoundRobinWithinALane)
@@ -284,7 +287,9 @@ TEST(ServeSchedulerParallel, AdmissionIsBoundedAndReportsQueueFull)
     const auto rejected =
         harness.submit(4, Lane::Interactive, "c", log.job(4));
     EXPECT_EQ(rejected.admission, Scheduler::Admission::QueueFull);
-    EXPECT_EQ(harness->stats().rejectedQueueFull, 1u);
+    EXPECT_EQ(
+        readStat(harness->stats(), "serve.requests.rejected_queue_full"),
+        1.0);
 
     gate.release();
     harness.finish();
@@ -318,10 +323,10 @@ TEST(ServeSchedulerParallel, CancelledQueuedJobStillRunsItsCompletionPath)
     // The cancelled job was dispatched (never leaked) and saw its token.
     EXPECT_TRUE(job_ran.load());
     EXPECT_TRUE(observed_cancel.load());
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.cancelled, 1u);
-    EXPECT_EQ(stats.queuedNow, 0u);
-    EXPECT_EQ(stats.runningNow, 0u);
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.requests.cancelled"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.queue.depth"), 0.0);
+    EXPECT_EQ(readStat(stats, "serve.queue.running"), 0.0);
 }
 
 TEST(ServeSchedulerParallel, ExpiredDeadlineCancelsAtDispatch)
@@ -361,10 +366,11 @@ TEST(ServeSchedulerParallel, ExpiredDeadlineCancelsAtDispatch)
     EXPECT_EQ(observed_reason.load(),
               static_cast<int>(CancelReason::Deadline));
     EXPECT_FALSE(fresh_cancelled.load());
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.deadlineExpiredQueued, 1u);
-    EXPECT_EQ(stats.cancelled, 1u);
-    EXPECT_EQ(stats.completed, 2u); // the gate job + request 3
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.requests.deadline_expired_queued"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.requests.cancelled"), 1.0);
+    // the gate job + request 3
+    EXPECT_EQ(readStat(stats, "serve.requests.completed"), 2.0);
 }
 
 TEST(ServeSchedulerParallel, CancelReachesARunningJob)
@@ -406,7 +412,9 @@ TEST(ServeSchedulerParallel, DrainRejectsNewWorkAndCompletesQueued)
     EXPECT_EQ(rejected.admission, Scheduler::Admission::Draining);
     harness.finish();
     EXPECT_EQ(log.order().size(), 4u);
-    EXPECT_EQ(harness->stats().rejectedDraining, 1u);
+    EXPECT_EQ(
+        readStat(harness->stats(), "serve.requests.rejected_draining"),
+        1.0);
 }
 
 TEST(ServeSchedulerParallel, DrainWithCancelFlagsInFlightWithDrainReason)
@@ -516,12 +524,14 @@ TEST(ServeSchedulerParallel, CompatibleJobsCoalesceIntoOneBatch)
     const auto batches = log.batches();
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_EQ(batches[0].size(), 6u);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchesDispatched, 1u);
-    EXPECT_EQ(stats.batchedJobs, 6u);
-    EXPECT_EQ(stats.batchScalarFallbacks, 1u); // the gate ran alone
-    EXPECT_EQ(stats.batchMaxOccupancy, 6u);
-    EXPECT_EQ(stats.completed, 7u); // gate + 6 members
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.batch.batches"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.batch.batched_requests"), 6.0);
+    // the gate ran alone
+    EXPECT_EQ(readStat(stats, "serve.batch.scalar_fallbacks"), 1.0);
+    EXPECT_EQ(readStat(stats, "serve.batch.max_occupancy"), 6.0);
+    // gate + 6 members
+    EXPECT_EQ(readStat(stats, "serve.requests.completed"), 7.0);
 }
 
 TEST(ServeSchedulerParallel, BatchRespectsMaxLanesBound)
@@ -552,7 +562,7 @@ TEST(ServeSchedulerParallel, BatchRespectsMaxLanesBound)
         total += batch.size();
     }
     EXPECT_EQ(total, 10u);
-    EXPECT_EQ(harness->stats().batchMaxOccupancy, 4u);
+    EXPECT_EQ(readStat(harness->stats(), "serve.batch.max_occupancy"), 4.0);
 }
 
 TEST(ServeSchedulerParallel, MixedKeysNeverShareABatch)
@@ -581,9 +591,11 @@ TEST(ServeSchedulerParallel, MixedKeysNeverShareABatch)
         for (const std::uint64_t id : batch)
             EXPECT_EQ(id % 2, batch.front() % 2) << "mixed-key batch";
     }
-    const auto stats = harness->stats();
+    const auto &stats = harness->stats();
     // 8 members plus the gate, which ran alone.
-    EXPECT_EQ(stats.batchedJobs + stats.batchScalarFallbacks, 9u);
+    EXPECT_EQ(readStat(stats, "serve.batch.batched_requests") +
+                  readStat(stats, "serve.batch.scalar_fallbacks"),
+              9.0);
 }
 
 TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
@@ -599,7 +611,7 @@ TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
     // lands inside the window and must join the same batch. Poll the
     // stat so the "late" submit provably happens inside the window.
     harness->submit(1, Lane::Batch, "a", 77, nullptr);
-    while (harness->stats().batchWindowWaits == 0)
+    while (readStat(harness->stats(), "serve.batch.window_waits") == 0.0)
         std::this_thread::sleep_for(1ms);
     harness->submit(2, Lane::Batch, "b", 77, nullptr);
     harness.finish();
@@ -607,10 +619,10 @@ TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
     const auto batches = log.batches();
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_EQ(batches[0].size(), 2u);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchesDispatched, 1u);
-    EXPECT_GE(stats.batchWindowWaits, 1u);
-    EXPECT_GE(harness->batchWindowDelaySnapshot().count, 1u);
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.batch.batches"), 1.0);
+    EXPECT_GE(readStat(stats, "serve.batch.window_waits"), 1.0);
+    EXPECT_GE(readTail(stats, "serve.batch.window_delay").count, 1u);
 }
 
 TEST(ServeSchedulerParallel, InteractiveSeedBypassesTheWindow)
@@ -627,9 +639,9 @@ TEST(ServeSchedulerParallel, InteractiveSeedBypassesTheWindow)
 
     // The interactive seed dispatched immediately, alone, without ever
     // opening the window.
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchWindowWaits, 0u);
-    EXPECT_EQ(stats.batchScalarFallbacks, 1u);
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.batch.window_waits"), 0.0);
+    EXPECT_EQ(readStat(stats, "serve.batch.scalar_fallbacks"), 1.0);
     ASSERT_EQ(log.batches().size(), 1u);
     EXPECT_EQ(log.batches()[0].size(), 1u);
 }
@@ -662,9 +674,10 @@ TEST(ServeSchedulerParallel, CancelledMemberStaysInBatchAsMaskedLane)
     ASSERT_EQ(batches[0].size(), 3u);
     for (std::size_t i = 0; i < batches[0].size(); ++i)
         EXPECT_EQ(masks[0][i], batches[0][i] == 11);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.cancelled, 1u);
-    EXPECT_EQ(stats.completed, 3u); // gate + members 10 and 12
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.requests.cancelled"), 1.0);
+    // gate + members 10 and 12
+    EXPECT_EQ(readStat(stats, "serve.requests.completed"), 3.0);
 }
 
 TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
@@ -685,8 +698,10 @@ TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
     gate.release();
     harness.finish();
 
-    const auto inter = harness->queueWaitSnapshot(Lane::Interactive);
-    const auto batch = harness->queueWaitSnapshot(Lane::Batch);
+    const auto inter =
+        readTail(harness->stats(), "serve.latency.interactive.queue_wait");
+    const auto batch =
+        readTail(harness->stats(), "serve.latency.batch.queue_wait");
     EXPECT_EQ(inter.count, 2u); // the gate job + request 2
     EXPECT_EQ(batch.count, 1u);
     EXPECT_GE(batch.max, 5000.0); // queued >= 5ms, recorded in us
@@ -716,7 +731,7 @@ TEST(ServeSchedulerParallel, DrainCompletesQueuedBatchableJobs)
     for (const auto &batch : log.batches())
         total += batch.size();
     EXPECT_EQ(total, 3u);
-    EXPECT_EQ(harness->stats().queuedNow, 0u);
+    EXPECT_EQ(readStat(harness->stats(), "serve.queue.depth"), 0.0);
 }
 
 TEST(ServeSchedulerParallel, ConcurrentMixedClientsAllComplete)
@@ -755,11 +770,11 @@ TEST(ServeSchedulerParallel, ConcurrentMixedClientsAllComplete)
     harness.finish();
 
     EXPECT_EQ(completed.load(), kClients * kJobsPerClient);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.completed,
+    const auto &stats = harness->stats();
+    EXPECT_EQ(readStat(stats, "serve.requests.completed"),
               static_cast<std::uint64_t>(kClients * kJobsPerClient));
-    EXPECT_EQ(stats.queuedNow, 0u);
-    EXPECT_EQ(stats.runningNow, 0u);
+    EXPECT_EQ(readStat(stats, "serve.queue.depth"), 0.0);
+    EXPECT_EQ(readStat(stats, "serve.queue.running"), 0.0);
 }
 
 } // namespace

@@ -24,8 +24,11 @@
 #include "core/engine.hh"
 #include "core/report.hh"
 #include "core/scenario.hh"
+#include "gateway/gateway.hh"
+#include "gateway/json.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "stat_reader.hh"
 #include "util/keyvalue.hh"
 #include "util/sim_time.hh"
 
@@ -33,6 +36,8 @@ namespace ecolo::serve {
 namespace {
 
 using namespace std::chrono_literals;
+using test::readStat;
+using test::readTail;
 
 /** Server on an ephemeral port; drained and joined at scope exit. */
 class ServerHarness
@@ -131,9 +136,8 @@ TEST(ServeServerE2E, RepeatedRequestIsAByteIdenticalCacheHit)
     EXPECT_TRUE(second.value().cacheHit);
     EXPECT_EQ(second.value().report, first.value().report);
 
-    const auto stats = harness->cacheStats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(readStat(*harness, "serve.cache.hits"), 1.0);
+    EXPECT_EQ(readStat(*harness, "serve.cache.misses"), 1.0);
 
     // A scenario that differs only in comments/ordering also hits.
     RequestSpec reordered = spec;
@@ -177,7 +181,7 @@ TEST(ServeServerE2E, InvalidRequestsAreRejectedWithoutRunning)
     EXPECT_EQ(outcome.value().status, OutcomeStatus::Error);
     EXPECT_EQ(outcome.value().errorCode, RpcErrorCode::ValidationError);
 
-    EXPECT_EQ(harness->schedulerStats().submitted, 0u);
+    EXPECT_EQ(readStat(*harness, "serve.requests.submitted"), 0.0);
 }
 
 TEST(ServeServerE2E, BackpressureAnswersRetryAfter)
@@ -204,10 +208,10 @@ TEST(ServeServerE2E, BackpressureAnswersRetryAfter)
         EXPECT_EQ(outcome.value().status, OutcomeStatus::Cancelled);
     };
     std::thread t1(runner, 10, std::ref(id1));
-    while (harness->schedulerStats().runningNow == 0)
+    while (readStat(*harness, "serve.queue.running") == 0.0)
         std::this_thread::sleep_for(1ms);
     std::thread t2(runner, 11, std::ref(id2));
-    while (harness->schedulerStats().queuedNow == 0)
+    while (readStat(*harness, "serve.queue.depth") == 0.0)
         std::this_thread::sleep_for(1ms);
 
     auto client = harness.client();
@@ -215,7 +219,7 @@ TEST(ServeServerE2E, BackpressureAnswersRetryAfter)
     ASSERT_TRUE(rejected.ok()) << rejected.error().describe();
     EXPECT_EQ(rejected.value().status, OutcomeStatus::RetryLater);
     EXPECT_EQ(rejected.value().retryAfterMs, 123u);
-    EXPECT_GE(harness->schedulerStats().rejectedQueueFull, 1u);
+    EXPECT_GE(readStat(*harness, "serve.requests.rejected_queue_full"), 1.0);
 
     // Put the fleet out of its misery.
     while (id1.load() == 0 || id2.load() == 0)
@@ -254,10 +258,11 @@ TEST(ServeServerE2E, CancellationStopsARunMidFlight)
               3650 * kMinutesPerDay);
     // The CANCELLED frame is written inside the job body; the scheduler
     // counts the job only after the body returns, so allow it a moment.
-    for (int i = 0; i < 2000 && harness->schedulerStats().cancelled == 0;
+    for (int i = 0;
+         i < 2000 && readStat(*harness, "serve.requests.cancelled") == 0.0;
          ++i)
         std::this_thread::sleep_for(1ms);
-    EXPECT_EQ(harness->schedulerStats().cancelled, 1u);
+    EXPECT_EQ(readStat(*harness, "serve.requests.cancelled"), 1.0);
 
     // Cancelling an unknown id reports not-found.
     const auto missing = client.cancel(555555);
@@ -280,10 +285,12 @@ TEST(ServeServerE2E, DeadlineExpiryMidRunAnswersDeadlineExceeded)
     EXPECT_EQ(outcome.value().errorCode, RpcErrorCode::DeadlineExceeded);
     EXPECT_NE(outcome.value().errorMessage.find("deadline"),
               std::string::npos);
-    for (int i = 0; i < 2000 && harness->deadlineExceededCount() == 0;
+    for (int i = 0;
+         i < 2000 &&
+         readStat(*harness, "serve.requests.deadline_exceeded") == 0.0;
          ++i)
         std::this_thread::sleep_for(1ms);
-    EXPECT_EQ(harness->deadlineExceededCount(), 1u);
+    EXPECT_EQ(readStat(*harness, "serve.requests.deadline_exceeded"), 1.0);
 
     // A generous budget on a short run completes normally.
     RequestSpec fine = smallRequest(42);
@@ -307,17 +314,17 @@ TEST(ServeServerE2E, PerLaneLatencyIsRecorded)
     // Latency accounting runs after the RESULT frame; give it a beat.
     for (int i = 0;
          i < 2000 &&
-         (harness->latencySnapshot(Lane::Interactive).count == 0 ||
-          harness->latencySnapshot(Lane::Batch).count == 0);
+         (readTail(*harness, "serve.latency.interactive").count == 0 ||
+          readTail(*harness, "serve.latency.batch").count == 0);
          ++i)
         std::this_thread::sleep_for(1ms);
     const auto interactive =
-        harness->latencySnapshot(Lane::Interactive);
+        readTail(*harness, "serve.latency.interactive");
     ASSERT_EQ(interactive.count, 1u);
     EXPECT_GT(interactive.p99, 0.0);
     // The batch request was a cache hit (same content key): still
     // counted, against its own lane.
-    EXPECT_EQ(harness->latencySnapshot(Lane::Batch).count, 1u);
+    EXPECT_EQ(readTail(*harness, "serve.latency.batch").count, 1u);
 
     const auto stats = client.stats();
     ASSERT_TRUE(stats.ok());
@@ -392,6 +399,46 @@ TEST(ServeServerE2E, StatsEndpointServesMetricsJson)
               std::string::npos);
     EXPECT_NE(stats.value().find("\"serve.requests.completed\""),
               std::string::npos);
+}
+
+TEST(ServeServerE2E, MetricsDocumentsArePerInstance)
+{
+    // Two servers and a gateway in one process, with different cache
+    // traffic: each server's document reports its own serve.cache.hits
+    // and carries no other component's stats.
+    ServerHarness warm;
+    ServerHarness cold;
+    auto warm_client = warm.client();
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(warm_client.submit(smallRequest(6)).value().status,
+                  OutcomeStatus::Completed);
+    auto cold_client = cold.client();
+    ASSERT_EQ(cold_client.submit(smallRequest(6)).value().status,
+              OutcomeStatus::Completed);
+    gateway::GatewayOptions gw_options;
+    gw_options.workers = {{"127.0.0.1", warm->port()}};
+    gw_options.pool.probeIntervalMs = 0;
+    gateway::Gateway gw(gw_options);
+    (void)gw.metricsJson(); // the gateway's stats exist in this process
+
+    const auto check = [](ServeClient &client, double hits) {
+        const auto doc = client.stats();
+        ASSERT_TRUE(doc.ok()) << doc.error().describe();
+        auto parsed = gateway::JsonValue::parse(doc.value());
+        ASSERT_TRUE(parsed.ok()) << parsed.error().describe();
+        const gateway::JsonValue *stats = parsed.value().member("stats");
+        ASSERT_NE(stats, nullptr);
+        const gateway::JsonValue *stat = stats->member("serve.cache.hits");
+        ASSERT_NE(stat, nullptr);
+        ASSERT_NE(stat->member("value"), nullptr);
+        EXPECT_EQ(stat->member("value")->asNumber(), hits);
+        for (const auto &[name, value] : stats->members())
+            EXPECT_NE(name.rfind("gateway.", 0), 0u) << name;
+    };
+    check(warm_client, 2.0);
+    check(cold_client, 0.0);
+    EXPECT_EQ(readStat(*warm, "serve.cache.hits"), 2.0);
+    EXPECT_EQ(readStat(*cold, "serve.cache.hits"), 0.0);
 }
 
 TEST(ServeServerE2E, ShutdownFrameDrainsTheServer)
@@ -550,8 +597,8 @@ TEST(ServeServerE2E, ConcurrentMixedClientsAllResolve)
     EXPECT_EQ(completed.load(), kThreads);
     // Every concurrent request repeats warmed content: all six hit.
     EXPECT_EQ(cache_hits.load(), kThreads);
-    EXPECT_EQ(harness->cacheStats().misses, 3u);
-    EXPECT_EQ(harness->cacheStats().hits,
+    EXPECT_EQ(readStat(*harness, "serve.cache.misses"), 3.0);
+    EXPECT_EQ(readStat(*harness, "serve.cache.hits"),
               static_cast<std::uint64_t>(kThreads));
 }
 

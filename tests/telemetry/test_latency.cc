@@ -13,6 +13,8 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "telemetry/latency.hh"
@@ -140,6 +142,32 @@ TEST(TailLatency, SingleSampleIsItsOwnTail)
     EXPECT_DOUBLE_EQ(s.p99, 123.0);
     EXPECT_DOUBLE_EQ(s.jitter, 0.0);
     EXPECT_DOUBLE_EQ(s.mean, 123.0);
+}
+
+TEST(TailLatency, RegistryTailDumpsFlatEntries)
+{
+    Registry reg;
+    TailLatency &lat = reg.tail("serve.latency.batch", "_us");
+    EXPECT_EQ(&reg.tail("serve.latency.batch", "_us"), &lat);
+    lat.record(4.0);
+    EXPECT_EQ(asTail(reg.find("serve.latency.batch")), &lat);
+
+    std::ostringstream os;
+    reg.dumpJson(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"serve.latency.batch.count\":"
+                        "{\"kind\":\"tail\",\"value\":1}"),
+              std::string::npos);
+    for (const char *field :
+         {"mean", "jitter", "min", "max", "p50", "p95", "p99"}) {
+        EXPECT_NE(json.find(std::string("\"serve.latency.batch.") + field +
+                            "_us\":{\"kind\":\"tail\",\"value\":"),
+                  std::string::npos)
+            << field;
+    }
+    EXPECT_NE(json.find("\"serve.latency.batch.p99_us\":"
+                        "{\"kind\":\"tail\",\"value\":4}"),
+              std::string::npos);
 }
 
 } // namespace

@@ -173,6 +173,29 @@ TEST(Registry, JsonDumpIsWellFormedEnough)
     EXPECT_FALSE(in_string);
 }
 
+TEST(Registry, MergedJsonDumpSortsAndFirstRegistryWins)
+{
+    Registry own;
+    Registry process;
+    own.counter("b.shared").inc(2);
+    process.counter("b.shared").inc(9);
+    process.gauge("a.first").set(1.5);
+    Gauge &active = own.gauge("c.active");
+    active.add(3.0);
+    active.add(-1.0);
+
+    std::ostringstream os;
+    Registry::dumpJson(os, {&own, &process});
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"b.shared\":{\"kind\":\"counter\",\"value\":2}"),
+              std::string::npos);
+    EXPECT_EQ(json.find("\"value\":9"), std::string::npos);
+    EXPECT_NE(json.find("\"c.active\":{\"kind\":\"gauge\",\"value\":2}"),
+              std::string::npos);
+    EXPECT_LT(json.find("\"a.first\""), json.find("\"b.shared\""));
+    EXPECT_LT(json.find("\"b.shared\""), json.find("\"c.active\""));
+}
+
 TEST(Registry, ResetValuesKeepsNames)
 {
     Registry reg;

@@ -455,8 +455,10 @@ main(int argc, char **argv)
     server.waitUntilStopped();
     const std::string metrics = server.metricsJson();
     const auto interactive =
-        server.latencySnapshot(serve::Lane::Interactive);
-    const auto batch = server.latencySnapshot(serve::Lane::Batch);
+        telemetry::asTail(server.find("serve.latency.interactive"))
+            ->snapshot();
+    const auto batch =
+        telemetry::asTail(server.find("serve.latency.batch"))->snapshot();
 
     if (!opts.metricsOut.empty()) {
         std::ofstream os(opts.metricsOut, std::ios::trunc);

@@ -245,16 +245,22 @@ main(int argc, char **argv)
                       ", draining");
     }
 
-    // Snapshot before teardown: metricsJson is safe while running, and
-    // the drained gateway has nothing new to say.
+    // Snapshot before teardown: every stat is an atomic owned by a
+    // locked registry, so the document renders while the event loop
+    // runs, and the drained gateway has nothing new to say.
     const std::string metrics = gw.metricsJson();
     gw.requestDrain();
     gw.waitUntilStopped();
 
-    const auto http = gw.httpStats();
-    ecolo::inform("edgetherm-gateway: drained (", http.requests,
-                  " requests, ", http.responses2xx, " ok, ",
-                  http.responses4xx + http.responses5xx, " errors)");
+    const auto count = [&gw](const char *name) {
+        return telemetry::statValue(gw.find(name));
+    };
+    ecolo::inform("edgetherm-gateway: drained (",
+                  count("gateway.http.requests"), " requests, ",
+                  count("gateway.http.responses_2xx"), " ok, ",
+                  count("gateway.http.responses_4xx") +
+                      count("gateway.http.responses_5xx"),
+                  " errors)");
 
     if (!opts.metricsOut.empty()) {
         std::ofstream os(opts.metricsOut, std::ios::trunc);

@@ -38,12 +38,15 @@
  * 0 success, 1 runtime failure, 2 usage error.
  */
 
+#include <malloc.h>
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -230,6 +233,16 @@ main(int argc, char **argv)
     // exists: a dying peer must never take the service down.
     std::signal(SIGPIPE, SIG_IGN);
 
+    // Every run allocates and frees multi-megabyte set-up buffers (the
+    // year-long traces) on the scheduler thread. Left to its defaults,
+    // glibc may give a thread arena's freed top back to the kernel
+    // after one request and fault it in again on the next; how often
+    // depends on what else happens to sit in the arena. On 1-day
+    // batched sweeps that page-fault churn cost more CPU than the
+    // simulation itself. Keep such buffers in the arenas, untrimmed.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+
     if (!opts.chaosFile.empty()) {
         auto schedule = faults::loadChaosScheduleFile(opts.chaosFile);
         if (!schedule.ok()) {
@@ -267,11 +280,13 @@ main(int argc, char **argv)
     server.requestDrain();
     server.waitUntilStopped();
 
-    const auto sched = server.schedulerStats();
-    const auto cache = server.cacheStats();
-    ecolo::inform("edgetherm-serve: drained (", sched.completed,
-                  " completed, ", sched.cancelled, " cancelled, ",
-                  cache.hits, " cache hits)");
+    const auto count = [&server](const char *name) {
+        return telemetry::statValue(server.find(name));
+    };
+    ecolo::inform("edgetherm-serve: drained (",
+                  count("serve.requests.completed"), " completed, ",
+                  count("serve.requests.cancelled"), " cancelled, ",
+                  count("serve.cache.hits"), " cache hits)");
 
     if (!opts.metricsOut.empty()) {
         std::ofstream os(opts.metricsOut, std::ios::trunc);
