@@ -140,7 +140,8 @@ struct SimulationConfig
      * and its temporal factorization instead of recomputing them. Purely
      * a constructor-time accelerator -- behavior is bit-identical with or
      * without it (every cached value is a deterministic function of the
-     * other config fields that key it). Never serialized.
+     * other config fields that key it). When null, the Simulation
+     * constructor installs a private cache. Never serialized.
      */
     std::shared_ptr<SetupCache> setupCache{};
 

@@ -41,12 +41,34 @@ makeBenignTrace(const SimulationConfig &config, std::size_t tenant_index,
     return trace::DiurnalTraceGenerator(params).generate(horizon, rng);
 }
 
+/**
+ * The generated benign traces, unscaled. The alternate (Google-style)
+ * trace models ONE recorded cluster trace driving the whole site (the
+ * paper's "alternate total power trace"), so every tenant shares it; the
+ * default diurnal trace is per-tenant with jitter.
+ */
+SetupCache::TraceSet
+makeBenignTraceSet(const SimulationConfig &config, Rng &rng)
+{
+    if (config.traceKind == TraceKind::GoogleStyle)
+        return SetupCache::TraceSet(config.numBenignTenants,
+                                    makeBenignTrace(config, 0, rng));
+    SetupCache::TraceSet set(config.numBenignTenants);
+    for (std::size_t k = 0; k < set.size(); ++k)
+        set[k] = makeBenignTrace(config, k, rng);
+    return set;
+}
+
 } // namespace
 
 Simulation::Simulation(SimulationConfig config,
                        std::unique_ptr<AttackPolicy> policy)
     : config_([&] {
           config.validate();
+          // One set-up path: a simulation built without a shared cache
+          // gets a private one, so cold set-up is the cache's miss path.
+          if (!config.setupCache)
+              config.setupCache = std::make_shared<SetupCache>();
           return config;
       }()),
       layout_(config_.layout),
@@ -88,92 +110,61 @@ thermal::ThermalEnvironment
 Simulation::makeThermalEnvironment(const SimulationConfig &config,
                                    const power::DataCenterLayout &layout)
 {
-    if (config.setupCache) {
-        auto &cache = *config.setupCache;
-        auto matrix =
-            cache.matrix(SetupCache::matrixKey(config), [&] {
-                return thermal::HeatDistributionMatrix::analyticDefault(
-                    layout, config.matrixParams,
-                    config.matrixHorizonMinutes);
+    SetupCache &cache = *config.setupCache;
+    auto matrix = cache.matrix(SetupCache::matrixKey(config), [&] {
+        return thermal::HeatDistributionMatrix::analyticDefault(
+            layout, config.matrixParams, config.matrixHorizonMinutes);
+    });
+    // The factorization is the single most expensive thermal setup
+    // step and only feeds the streaming kernel's Prony fit; the
+    // dense kernel never computes one, so do not force it here.
+    std::shared_ptr<const thermal::TemporalFactorization> factors;
+    if (config.thermalMode != thermal::KernelMode::Dense) {
+        factors = cache.factorization(
+            SetupCache::factorizationKey(config), [&] {
+                return thermal::TemporalFactorization::compute(
+                    *matrix, config.factorization);
             });
-        // The factorization is the single most expensive thermal setup
-        // step and only feeds the streaming kernel's Prony fit; the
-        // dense kernel never computes one, so do not force it here.
-        std::shared_ptr<const thermal::TemporalFactorization> factors;
-        if (config.thermalMode != thermal::KernelMode::Dense) {
-            factors = cache.factorization(
-                SetupCache::factorizationKey(config), [&] {
-                    return thermal::TemporalFactorization::compute(
-                        *matrix, config.factorization);
-                });
-        }
-        return thermal::ThermalEnvironment(
-            *matrix, config.cooling, 15.0, config.thermalMode,
-            config.factorization, std::move(factors));
     }
-    return thermal::ThermalEnvironment(
-        thermal::HeatDistributionMatrix::analyticDefault(
-            layout, config.matrixParams, config.matrixHorizonMinutes),
-        config.cooling, 15.0, config.thermalMode, config.factorization);
+    return thermal::ThermalEnvironment(*matrix, config.cooling, 15.0,
+                                       config.thermalMode,
+                                       config.factorization,
+                                       std::move(factors));
 }
 
 void
 Simulation::buildTenants()
 {
-    const std::size_t per_tenant = config_.serversPerBenignTenant();
-    benignTenants_.reserve(config_.numBenignTenants);
     // Always fork, even when the trace cache hits: the fork advances
-    // rng_, and the engine's own stream must not depend on whether a
-    // cache was installed.
+    // rng_, and the engine's own stream must not depend on whether the
+    // traces were generated by this simulation.
     Rng trace_rng = rng_.fork();
-    SetupCache *cache = (config_.setupCache != nullptr &&
-                         config_.externalBenignTraces.empty())
-                            ? config_.setupCache.get()
-                            : nullptr;
-
-    std::shared_ptr<const SetupCache::TraceSet> cached_traces;
-    if (cache != nullptr) {
-        cached_traces = cache->traceSet(
-            SetupCache::traceSetKey(config_), [&] {
-                // Generation consumes trace_rng exactly as the uncached
-                // path below does, so hit and miss yield the same traces.
-                SetupCache::TraceSet set(config_.numBenignTenants);
-                if (config_.traceKind == TraceKind::GoogleStyle) {
-                    const trace::UtilizationTrace shared =
-                        makeBenignTrace(config_, 0, trace_rng);
-                    for (auto &t : set)
-                        t = shared;
-                } else {
-                    for (std::size_t k = 0; k < set.size(); ++k)
-                        set[k] = makeBenignTrace(config_, k, trace_rng);
-                }
-                return set;
-            });
-    }
-    // The alternate (Google-style) trace models ONE recorded cluster
-    // trace driving the whole site (the paper's "alternate total power
-    // trace"), so every tenant shares it; the default diurnal trace is
-    // per-tenant with jitter.
-    trace::UtilizationTrace shared_alternate;
-    if (cache == nullptr && config_.traceKind == TraceKind::GoogleStyle &&
-        config_.externalBenignTraces.empty()) {
-        shared_alternate = makeBenignTrace(config_, 0, trace_rng);
-    }
+    SetupCache &cache = *config_.setupCache;
+    // External traces are not derivable from the config, so no cache
+    // key describes them: they get a private set and a direct solve.
+    const bool external = !config_.externalBenignTraces.empty();
+    const std::shared_ptr<const SetupCache::TraceSet> traces =
+        external ? std::make_shared<const SetupCache::TraceSet>(
+                       config_.externalBenignTraces)
+                 : cache.traceSet(SetupCache::traceSetKey(config_), [&] {
+                       return makeBenignTraceSet(config_, trace_rng);
+                   });
+    // Each tenant points into the shared set (the aliasing pointer keeps
+    // the whole set alive) and applies the site's scale factor at read
+    // time, so no member copies or rescales a trace.
+    const auto tenant_trace = [&](std::size_t k) {
+        return std::shared_ptr<const trace::UtilizationTrace>(
+            traces, &(*traces)[k]);
+    };
+    benignTenants_.reserve(config_.numBenignTenants);
+    std::vector<power::Tenant *> tenant_ptrs;
     for (std::size_t k = 0; k < config_.numBenignTenants; ++k) {
         benignTenants_.emplace_back("tenant-" + std::to_string(k + 1),
                                     config_.benignSubscription(),
-                                    per_tenant, config_.serverSpec);
-        if (!config_.externalBenignTraces.empty()) {
-            benignTenants_.back().setTrace(
-                config_.externalBenignTraces[k]);
-        } else if (cached_traces != nullptr) {
-            benignTenants_.back().setTrace((*cached_traces)[k]);
-        } else if (!shared_alternate.empty()) {
-            benignTenants_.back().setTrace(shared_alternate);
-        } else {
-            benignTenants_.back().setTrace(
-                makeBenignTrace(config_, k, trace_rng));
-        }
+                                    config_.serversPerBenignTenant(),
+                                    config_.serverSpec);
+        benignTenants_.back().setTrace(tenant_trace(k), 1.0);
+        tenant_ptrs.push_back(&benignTenants_.back());
     }
 
     // Scale so that the *whole* data center (attacker idling on dummy
@@ -185,23 +176,18 @@ Simulation::buildTenants()
         config_.capacity * config_.averageUtilization - attacker_standby;
     ECOLO_ASSERT(target.value() > 0.0,
                  "average utilization target leaves no benign power");
-    std::vector<power::Tenant *> tenant_ptrs;
-    for (auto &tenant : benignTenants_)
-        tenant_ptrs.push_back(&tenant);
-    if (cache != nullptr) {
-        const double factor = cache->scaleFactor(
-            SetupCache::scaleFactorKey(config_), [&] {
-                return power::computeMeanPowerScaleFactor(tenant_ptrs,
-                                                          target);
-            });
-        power::applyTraceScale(tenant_ptrs, factor);
-    } else {
-        power::scaleTenantsToMeanPower(tenant_ptrs, target);
-    }
+    const auto solve = [&] {
+        return power::computeMeanPowerScaleFactor(tenant_ptrs, target);
+    };
+    const double factor =
+        external ? solve()
+                 : cache.scaleFactor(SetupCache::scaleFactorKey(config_),
+                                     solve);
+    for (std::size_t k = 0; k < benignTenants_.size(); ++k)
+        benignTenants_[k].setTrace(tenant_trace(k), factor);
 
-    workloadFingerprint_ = config_.externalBenignTraces.empty()
-                               ? SetupCache::scaleFactorKey(config_)
-                               : 0;
+    workloadFingerprint_ =
+        external ? 0 : SetupCache::scaleFactorKey(config_);
 }
 
 Kilowatts

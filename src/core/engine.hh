@@ -156,8 +156,8 @@ class Simulation
         Celsius maxInlet{0.0};
     };
 
-    /** Thermal environment for the config, via config.setupCache (shared
-     * matrix + factorization) when installed. */
+    /** Thermal environment for the config, built from config.setupCache's
+     * shared matrix and factorization. */
     static thermal::ThermalEnvironment
     makeThermalEnvironment(const SimulationConfig &config,
                            const power::DataCenterLayout &layout);

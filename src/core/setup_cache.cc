@@ -1,5 +1,6 @@
 #include "core/setup_cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 namespace ecolo::core {
@@ -72,6 +73,10 @@ SetupCache::traceSet(std::uint64_t key,
         auto it = traceSets_.find(key);
         if (it != traceSets_.end()) {
             ++counters_.traceHits;
+            // Refresh recency, so a hot key outlives one-off misses.
+            traceOrder_.erase(
+                std::find(traceOrder_.begin(), traceOrder_.end(), key));
+            traceOrder_.push_back(key);
             return it->second;
         }
         ++counters_.traceMisses;

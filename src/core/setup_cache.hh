@@ -21,6 +21,8 @@
  * members) is never serialized behind a 1-second trace generation.
  * The trace-set store is LRU-bounded (entries are ~13 MB); the
  * matrix/factorization/scale stores are tiny and unbounded.
+ * Every Simulation builds through a cache (a private one when the
+ * config carries none); its tenants read the cached trace set in place.
  */
 
 #ifndef ECOLO_CORE_SETUP_CACHE_HH
@@ -44,7 +46,8 @@ namespace ecolo::core {
 class SetupCache
 {
   public:
-    /** The generated (unscaled) benign traces, one per tenant. */
+    /** The generated (unscaled) benign traces, one per tenant. Tenants
+     * alias into it, which keeps an evicted set alive for its members. */
     using TraceSet = std::vector<trace::UtilizationTrace>;
 
     /** Per-artifact hit/miss counters (testing / telemetry). */
@@ -106,7 +109,8 @@ class SetupCache
 
     std::unordered_map<std::uint64_t, std::shared_ptr<const TraceSet>>
         traceSets_;
-    std::deque<std::uint64_t> traceOrder_; //!< LRU, front = oldest
+    //! LRU order: a hit moves its key to the back; front = evicted next.
+    std::deque<std::uint64_t> traceOrder_;
     std::unordered_map<std::uint64_t, double> scaleFactors_;
     std::unordered_map<std::uint64_t,
                        std::shared_ptr<const thermal::HeatDistributionMatrix>>

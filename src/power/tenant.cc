@@ -18,17 +18,34 @@ Tenant::Tenant(std::string name, Kilowatts subscribed_capacity,
 }
 
 void
+Tenant::setTrace(std::shared_ptr<const trace::UtilizationTrace> trace,
+                 double scale)
+{
+    ECOLO_ASSERT(trace != nullptr && !trace->empty(),
+                 "empty trace for tenant '", name_, "'");
+    trace_ = std::move(trace);
+    scale_ = scale;
+}
+
+void
 Tenant::setTrace(trace::UtilizationTrace trace)
 {
-    ECOLO_ASSERT(!trace.empty(), "empty trace for tenant '", name_, "'");
-    trace_ = std::move(trace);
+    setTrace(std::make_shared<const trace::UtilizationTrace>(
+                 std::move(trace)),
+             1.0);
+}
+
+const trace::UtilizationTrace &
+Tenant::traceRef() const
+{
+    ECOLO_ASSERT(hasTrace(), "tenant '", name_, "' has no trace attached");
+    return *trace_;
 }
 
 void
 Tenant::applyTraceAt(MinuteIndex t)
 {
-    ECOLO_ASSERT(hasTrace(), "tenant '", name_, "' has no trace attached");
-    setUtilization(trace_.at(t));
+    setUtilization(std::clamp(traceRef().at(t) * scale_, 0.0, 1.0));
 }
 
 void
@@ -106,7 +123,7 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
     ECOLO_ASSERT(!tenants.empty(), "no tenants to scale");
     for (Tenant *t : tenants)
         ECOLO_ASSERT(t != nullptr && t->hasTrace(),
-                     "scaleTenantsToMeanPower needs tenants with traces");
+                     "computeMeanPowerScaleFactor needs tenants with traces");
 
     // All tenants share one trace length (they are generated together).
     const std::size_t horizon = tenants.front()->traceRef().size();
@@ -150,24 +167,6 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
             hi = mid;
     }
     return 0.5 * (lo + hi);
-}
-
-void
-applyTraceScale(const std::vector<Tenant *> &tenants, double factor)
-{
-    for (Tenant *t : tenants) {
-        trace::UtilizationTrace scaled = t->traceRef();
-        scaled.scale(factor);
-        t->setTrace(std::move(scaled));
-    }
-}
-
-void
-scaleTenantsToMeanPower(std::vector<Tenant *> tenants,
-                        Kilowatts target_mean_power)
-{
-    applyTraceScale(tenants,
-                    computeMeanPowerScaleFactor(tenants, target_mean_power));
 }
 
 } // namespace ecolo::power

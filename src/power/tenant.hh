@@ -7,6 +7,7 @@
 #ifndef ECOLO_POWER_TENANT_HH
 #define ECOLO_POWER_TENANT_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,12 +34,21 @@ class Tenant
     std::vector<Server> &servers() { return servers_; }
     const std::vector<Server> &servers() const { return servers_; }
 
-    /** Attach the workload trace that drives this tenant's utilization. */
+    /**
+     * Attach the workload trace that drives this tenant's utilization,
+     * read through `scale` (see applyTraceAt). The trace is shared, not
+     * copied: campaign members read one cached year-long set in place.
+     */
+    void setTrace(std::shared_ptr<const trace::UtilizationTrace> trace,
+                  double scale);
+    /** Attach an owned trace, read unscaled. */
     void setTrace(trace::UtilizationTrace trace);
-    const trace::UtilizationTrace &traceRef() const { return trace_; }
-    bool hasTrace() const { return !trace_.empty(); }
+    /** The attached trace, *unscaled*: the scale applies at read. */
+    const trace::UtilizationTrace &traceRef() const;
+    bool hasTrace() const { return trace_ != nullptr; }
 
-    /** Set every server's utilization from the trace at minute t. */
+    /** Set every server's utilization to the trace at minute t times the
+     * scale, clamped to [0, 1]. */
     void applyTraceAt(MinuteIndex t);
 
     /** Uniform utilization across all servers (manual control). */
@@ -67,30 +77,21 @@ class Tenant
     std::string name_;
     Kilowatts subscribed_;
     std::vector<Server> servers_;
-    trace::UtilizationTrace trace_;
+    std::shared_ptr<const trace::UtilizationTrace> trace_;
+    double scale_ = 1.0;
 };
 
 /**
- * Scale each tenant's trace with a single common factor such that the
- * tenants' combined *mean power* hits target_mean_power. This is how the
- * paper sets "75% average utilization" of the 8 kW capacity.
- */
-void scaleTenantsToMeanPower(std::vector<Tenant *> tenants,
-                             Kilowatts target_mean_power);
-
-/**
- * The solve half of scaleTenantsToMeanPower: the common factor whose
- * clamped application (UtilizationTrace::scale clamps to [0, 1], the
- * same clamp the solver models) yields the target mean power. Split
- * out so campaign drivers can solve once per distinct trace set and
- * reuse the factor -- the bisection over year-long traces dominates
- * per-simulation setup cost.
+ * The single common scale factor that makes the tenants' combined *mean
+ * power* hit target_mean_power when every tenant reads its (unscaled)
+ * trace through it, clamped to [0, 1] as applyTraceAt does. This is how
+ * the paper sets "75% average utilization" of the 8 kW capacity. The
+ * bisection over year-long traces dominates per-simulation setup cost,
+ * so campaign drivers solve once per distinct trace set and reuse the
+ * factor (core::SetupCache::scaleFactor).
  */
 double computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
                                    Kilowatts target_mean_power);
-
-/** The apply half: scale every tenant's trace by `factor` in place. */
-void applyTraceScale(const std::vector<Tenant *> &tenants, double factor);
 
 } // namespace ecolo::power
 

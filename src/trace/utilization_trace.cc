@@ -46,13 +46,6 @@ UtilizationTrace::peak() const
 }
 
 void
-UtilizationTrace::scale(double factor)
-{
-    for (double &s : samples_)
-        s = std::clamp(s * factor, 0.0, 1.0);
-}
-
-void
 UtilizationTrace::clampAll(double lo, double hi)
 {
     for (double &s : samples_)

@@ -43,9 +43,6 @@ class UtilizationTrace
     double mean() const;
     double peak() const;
 
-    /** Multiply every sample by factor, clamping to [0, 1]. */
-    void scale(double factor);
-
     /** Clamp all samples into [lo, hi]. */
     void clampAll(double lo, double hi);
 

@@ -24,6 +24,7 @@
 #include "core/lane_batch.hh"
 #include "core/setup_cache.hh"
 #include "faults/schedule.hh"
+#include "trace/generators.hh"
 #include "util/state_io.hh"
 
 namespace {
@@ -231,28 +232,58 @@ TEST(LaneBatchParallel, MultiGroupCampaignMatchesScalar)
 
 TEST(LaneBatchParallel, SetupCacheIsBitIdenticalAccelerator)
 {
-    // A cached construction must behave exactly like an uncached one:
-    // same traces (the rng fork is consumed either way), same scale
-    // factor, same thermal artifacts.
+    // A member built through a shared cache must behave exactly like
+    // one built alone (on its private cache): same traces (the rng fork
+    // is consumed either way), same scale factor, same thermal
+    // artifacts -- for every generated trace kind.
+    for (TraceKind kind : {TraceKind::Diurnal, TraceKind::GoogleStyle,
+                           TraceKind::RequestLevel}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        auto config = SimulationConfig::paperDefault();
+        config.seed = 4242;
+        config.traceKind = kind;
+        Simulation plain(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+
+        config.setupCache = std::make_shared<SetupCache>();
+        Simulation cached(config,
+                          makeMyopicPolicy(config, Kilowatts(7.4)));
+        Simulation cached2(config,
+                           makeMyopicPolicy(config, Kilowatts(7.4)));
+
+        const auto counters = config.setupCache->counters();
+        EXPECT_EQ(counters.traceMisses, 1u);
+        EXPECT_EQ(counters.traceHits, 1u);
+        EXPECT_EQ(counters.factorizationMisses, 1u);
+        EXPECT_EQ(counters.factorizationHits, 1u);
+
+        plain.run(360);
+        cached.run(360);
+        cached2.run(360);
+        EXPECT_EQ(snapshot(plain), snapshot(cached));
+        EXPECT_EQ(snapshot(plain), snapshot(cached2));
+    }
+
+    // External traces cannot be keyed, so a shared cache must neither
+    // serve nor store them -- and must not change the run.
     auto config = SimulationConfig::paperDefault();
     config.seed = 4242;
+    Rng rng(7);
+    for (std::size_t k = 0; k < config.numBenignTenants; ++k) {
+        config.externalBenignTraces.push_back(
+            trace::DiurnalTraceGenerator().generate(2 * kMinutesPerDay,
+                                                    rng));
+    }
     Simulation plain(config, makeMyopicPolicy(config, Kilowatts(7.4)));
-
     config.setupCache = std::make_shared<SetupCache>();
     Simulation cached(config, makeMyopicPolicy(config, Kilowatts(7.4)));
-    Simulation cached2(config, makeMyopicPolicy(config, Kilowatts(7.4)));
-
     const auto counters = config.setupCache->counters();
-    EXPECT_EQ(counters.traceMisses, 1u);
-    EXPECT_EQ(counters.traceHits, 1u);
-    EXPECT_EQ(counters.factorizationMisses, 1u);
-    EXPECT_EQ(counters.factorizationHits, 1u);
-
+    EXPECT_EQ(counters.traceHits, 0u);
+    EXPECT_EQ(counters.traceMisses, 0u);
+    EXPECT_EQ(counters.scaleHits, 0u);
+    EXPECT_EQ(counters.scaleMisses, 0u);
     plain.run(360);
     cached.run(360);
-    cached2.run(360);
     EXPECT_EQ(snapshot(plain), snapshot(cached));
-    EXPECT_EQ(snapshot(plain), snapshot(cached2));
 }
 
 } // namespace

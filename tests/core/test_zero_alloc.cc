@@ -9,7 +9,9 @@
  * global operator new with a counting wrapper (which is why these tests
  * live in their own executable) and asserts the count stays flat across
  * hundreds of simulated minutes -- in the healthy steady state and in
- * degraded mode with active cooling and sensor faults.
+ * degraded mode with active cooling and sensor faults. The wrapper also
+ * records the largest single request, which bounds what a warm
+ * (setup-cache hit) construction may copy.
  */
 
 #include <atomic>
@@ -28,11 +30,23 @@
 namespace {
 
 std::atomic<long long> g_news{0};
+std::atomic<std::size_t> g_largest{0};
+
+void
+count(std::size_t size)
+{
+    ++g_news;
+    std::size_t largest = g_largest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest.compare_exchange_weak(largest, size,
+                                            std::memory_order_relaxed)) {
+    }
+}
 
 void *
 countedAlloc(std::size_t size)
 {
-    ++g_news;
+    count(size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -41,7 +55,7 @@ countedAlloc(std::size_t size)
 void *
 countedAlignedAlloc(std::size_t size, std::size_t align)
 {
-    ++g_news;
+    count(size);
     void *p = nullptr;
     if (posix_memalign(&p, align, size ? size : align) != 0)
         throw std::bad_alloc();
@@ -55,13 +69,13 @@ void *operator new[](std::size_t size) { return countedAlloc(size); }
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    ++g_news;
+    count(size);
     return std::malloc(size ? size : 1);
 }
 void *
 operator new[](std::size_t size, const std::nothrow_t &) noexcept
 {
-    ++g_news;
+    count(size);
     return std::malloc(size ? size : 1);
 }
 void *
@@ -233,6 +247,31 @@ TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
     EXPECT_TRUE(runner.cancelled(1));
     EXPECT_EQ(sims[1]->now(), 30 + 120);
     EXPECT_EQ(sims[0]->now(), 30 + 360);
+}
+
+TEST(ZeroAllocation, WarmSetupCopiesNoTrace)
+{
+    // A warm member reads the cached year-long traces in place: nothing
+    // it allocates, in set-up or in a day of slots, comes near the size
+    // of one trace (525600 samples, 4.2 MB). The largest legitimate
+    // request is the per-member heat-matrix copy (128 KB at the default
+    // 40 servers x 10-minute horizon).
+    auto config = SimulationConfig::paperDefault();
+    config.seed = 99;
+    config.setupCache = std::make_shared<SetupCache>();
+    Simulation first(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+
+    g_largest.store(0, std::memory_order_relaxed);
+    Simulation member(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+    member.run(kMinutesPerDay);
+    EXPECT_LT(g_largest.load(std::memory_order_relaxed), 1u << 20)
+        << "a warm member made a trace-sized allocation";
+
+    for (std::size_t k = 0; k < config.numBenignTenants; ++k) {
+        EXPECT_EQ(&member.benignTenant(k).traceRef(),
+                  &first.benignTenant(k).traceRef())
+            << "tenant " << k << " holds its own trace copy";
+    }
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 /** @file Unit tests for tenants and trace scaling. */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "power/tenant.hh"
@@ -61,6 +64,35 @@ TEST(Tenant, PowerOnOff)
     EXPECT_GT(t.actualPower().value(), 0.0);
 }
 
+TEST(Tenant, TraceScaleClampsAtRead)
+{
+    Tenant t = makeTenant();
+    t.setTrace(std::make_shared<const trace::UtilizationTrace>(
+                   std::vector<double>{0.3, 0.7}),
+               2.0);
+    t.applyTraceAt(0);
+    EXPECT_DOUBLE_EQ(t.utilization(), 0.6);
+    t.applyTraceAt(1);
+    EXPECT_DOUBLE_EQ(t.utilization(), 1.0);
+    EXPECT_DOUBLE_EQ(t.traceRef()[1], 0.7); // the trace itself is unscaled
+}
+
+/** Solve the common factor, then attach each tenant's trace through it
+ * (the engine's set-up sequence). */
+void
+scaleToMeanPower(std::vector<Tenant> &tenants, Kilowatts target)
+{
+    std::vector<Tenant *> ptrs;
+    for (Tenant &t : tenants)
+        ptrs.push_back(&t);
+    const double factor = computeMeanPowerScaleFactor(ptrs, target);
+    for (Tenant &t : tenants) {
+        t.setTrace(std::make_shared<const trace::UtilizationTrace>(
+                       t.traceRef()),
+                   factor);
+    }
+}
+
 TEST(ScaleTenantsToMeanPower, HitsAggregateTarget)
 {
     Rng rng(3);
@@ -70,8 +102,7 @@ TEST(ScaleTenantsToMeanPower, HitsAggregateTarget)
         trace::DiurnalTraceGenerator gen;
         tenants.back().setTrace(gen.generate(7 * kMinutesPerDay, rng));
     }
-    std::vector<Tenant *> ptrs{&tenants[0], &tenants[1], &tenants[2]};
-    scaleTenantsToMeanPower(ptrs, Kilowatts(5.5));
+    scaleToMeanPower(tenants, Kilowatts(5.5));
 
     // Measure the achieved mean by replaying the traces.
     double sum_kw = 0.0;
@@ -88,12 +119,17 @@ TEST(ScaleTenantsToMeanPower, HitsAggregateTarget)
 TEST(ScaleTenantsToMeanPower, SaturatesGracefully)
 {
     Rng rng(5);
-    Tenant t = makeTenant();
-    t.setTrace(trace::DiurnalTraceGenerator().generate(kMinutesPerDay, rng));
+    std::vector<Tenant> tenants{makeTenant()};
+    tenants[0].setTrace(
+        trace::DiurnalTraceGenerator().generate(kMinutesPerDay, rng));
     // Peak power of 12 servers is 2.4 kW; demand 2.4 kW mean means all-on.
-    std::vector<Tenant *> ptrs{&t};
-    scaleTenantsToMeanPower(ptrs, Kilowatts(2.4));
-    EXPECT_GT(t.traceRef().mean(), 0.99);
+    scaleToMeanPower(tenants, Kilowatts(2.4));
+    double sum = 0.0;
+    for (MinuteIndex m = 0; m < kMinutesPerDay; ++m) {
+        tenants[0].applyTraceAt(m);
+        sum += tenants[0].utilization();
+    }
+    EXPECT_GT(sum / static_cast<double>(kMinutesPerDay), 0.99);
 }
 
 TEST(TenantDeathTest, ApplyTraceWithoutTrace)

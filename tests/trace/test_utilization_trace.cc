@@ -30,14 +30,6 @@ TEST(UtilizationTrace, MeanAndPeak)
     EXPECT_DOUBLE_EQ(t.peak(), 1.0);
 }
 
-TEST(UtilizationTrace, ScaleClampsToOne)
-{
-    UtilizationTrace t({0.4, 0.8});
-    t.scale(2.0);
-    EXPECT_DOUBLE_EQ(t[0], 0.8);
-    EXPECT_DOUBLE_EQ(t[1], 1.0);
-}
-
 TEST(UtilizationTrace, ClampAll)
 {
     UtilizationTrace t({0.1, 0.5, 0.9});

@@ -38,15 +38,12 @@
  * 0 success, 1 runtime failure, 2 usage error.
  */
 
-#include <malloc.h>
-
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -232,16 +229,6 @@ main(int argc, char **argv)
     // Server::start() also installs this, but do it before any socket
     // exists: a dying peer must never take the service down.
     std::signal(SIGPIPE, SIG_IGN);
-
-    // Every run allocates and frees multi-megabyte set-up buffers (the
-    // year-long traces) on the scheduler thread. Left to its defaults,
-    // glibc may give a thread arena's freed top back to the kernel
-    // after one request and fault it in again on the next; how often
-    // depends on what else happens to sit in the arena. On 1-day
-    // batched sweeps that page-fault churn cost more CPU than the
-    // simulation itself. Keep such buffers in the arenas, untrimmed.
-    mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
 
     if (!opts.chaosFile.empty()) {
         auto schedule = faults::loadChaosScheduleFile(opts.chaosFile);
