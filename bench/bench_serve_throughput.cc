@@ -127,8 +127,7 @@ BM_CacheHitLookup(benchmark::State &state)
 BENCHMARK(BM_CacheHitLookup);
 
 // ---- Scheduler: no-op job dispatch rate through the full
-// admission -> lane queue -> worker -> completion path, one job per
-// executor call (batchMaxLanes = 1). ----
+// admission -> lane queue -> worker -> completion path. ----
 
 void
 BM_SchedulerDispatch(benchmark::State &state)
@@ -140,18 +139,15 @@ BM_SchedulerDispatch(benchmark::State &state)
         Scheduler::Options options;
         options.numWorkers = 2;
         options.maxQueued = jobs_per_batch;
-        options.batchMaxLanes = 1;
         std::atomic<std::uint64_t> done{0};
-        Scheduler scheduler(
-            options, [&done](std::vector<Scheduler::BatchItem> &items) {
-                done.fetch_add(items.size());
-            });
+        Scheduler scheduler(options, [&done](Scheduler::Item &) {
+            done.fetch_add(1);
+        });
         std::thread runner([&] { scheduler.run(); });
         for (std::uint64_t j = 0; j < jobs_per_batch; ++j) {
             scheduler.submit(next_id, j % 4 == 0 ? Lane::Batch
                                                  : Lane::Interactive,
-                             "client-" + std::to_string(j % 8), next_id,
-                             nullptr);
+                             "client-" + std::to_string(j % 8), nullptr);
             ++next_id;
         }
         scheduler.drain(false);
@@ -328,17 +324,11 @@ BM_GatewayWarmRequest(benchmark::State &state)
 }
 BENCHMARK(BM_GatewayWarmRequest)->Unit(benchmark::kMillisecond);
 
-// ---- Cross-request batching: the 64-request homogeneous campaign.
-// Same seed (equal workload fingerprints: shared benign traces and a
-// shared setup cache), swept policy parameter (64 distinct cache keys:
-// the result cache never short-circuits a member). Arg(1) packs up to
-// 8 requests per SoA pass, Arg(0) runs each alone (--batch-lanes 1).
-// Both legs share the setup cache, so the ratio of their
-// serve_{batched,scalar}_requests_per_sec counters in BENCH_serve.json
-// -- the CI-gated speedup -- measures lane packing alone. Packing only
-// vectorizes the slot loop, so the horizon is 30 days (at 1 day the
-// per-member warm setup is ~80 % of a request), and 16 clients keep a
-// full 8-lane batch in flight on each of the 2 workers. ----
+// ---- The 64-request homogeneous campaign. Same seed (equal workload
+// fingerprints: shared benign traces and a shared setup cache), swept
+// policy parameter (64 distinct cache keys: the result cache never
+// short-circuits a member), 30-day members from 16 clients onto 2
+// workers. ----
 
 constexpr int kCampaignRequests = 64;
 constexpr int kCampaignClients = 16;
@@ -361,20 +351,17 @@ campaignSpec(const std::string &client_id, double param)
 void
 BM_ServeCampaign64(benchmark::State &state)
 {
-    const bool batched = state.range(0) != 0;
     ServerOptions options;
     options.numWorkers = 2;
     options.maxQueued = 2 * kCampaignRequests;
     options.cacheMaxEntries = 4096;
-    options.batchMaxLanes = batched ? 8 : 1;
-    options.batchWindowMs = 5;
     Server server(std::move(options));
     if (!server.start().ok()) {
         state.SkipWithError("server failed to start");
         return;
     }
-    // Warm the setup cache outside the timed region, so both legs time
-    // steady-state dispatch rather than the one cold setup they share.
+    // Warm the setup cache outside the timed region, so the leg times
+    // steady-state dispatch rather than the one cold setup.
     {
         ServeClient client(server.port());
         const auto warm = client.submitWithRetry(
@@ -424,30 +411,14 @@ BM_ServeCampaign64(benchmark::State &state)
             break;
         }
     }
-    if (batched &&
-        telemetry::statValue(server.find("serve.batch.batches")) == 0.0) {
-        state.SkipWithError("batched leg formed no batches");
-        return;
-    }
     // Rate over *wall* time: the requests run on server threads, so the
     // benchmark thread's CPU clock (kIsRate's denominator) is ~zero.
-    // The shared campaign_requests_per_sec name lets bench_compare
-    // normalize the batched leg by the 1-lane ("scalar") leg (their
-    // ratio is the machine-independent speedup CI gates on); the
-    // per-leg aliases keep the trajectory readable in BENCH_serve.json.
-    if (wallSeconds > 0.0) {
-        const double rate = static_cast<double>(state.iterations()) *
-                            kCampaignRequests / wallSeconds;
-        state.counters["campaign_requests_per_sec"] = rate;
-        state.counters[batched ? "serve_batched_requests_per_sec"
-                               : "serve_scalar_requests_per_sec"] = rate;
-    }
-    state.counters["batch_max_occupancy"] =
-        telemetry::statValue(server.find("serve.batch.max_occupancy"));
+    if (wallSeconds > 0.0)
+        state.counters["campaign_requests_per_sec"] =
+            static_cast<double>(state.iterations()) * kCampaignRequests /
+            wallSeconds;
 }
 BENCHMARK(BM_ServeCampaign64)
-    ->Arg(0)
-    ->Arg(1)
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
 
@@ -460,15 +431,12 @@ BENCHMARK(BM_ServeCampaign64)
 void
 BM_ServeOpenLoopPoisson(benchmark::State &state)
 {
-    const bool batched = state.range(0) != 0;
     constexpr int kArrivals = 96;
     constexpr double kMeanInterArrivalMs = 20.0;
     ServerOptions options;
     options.numWorkers = 2;
     options.maxQueued = 2 * kArrivals;
     options.cacheMaxEntries = 4096;
-    options.batchMaxLanes = batched ? 8 : 1;
-    options.batchWindowMs = 5;
     Server server(std::move(options));
     if (!server.start().ok()) {
         state.SkipWithError("server failed to start");
@@ -550,8 +518,6 @@ BM_ServeOpenLoopPoisson(benchmark::State &state)
     state.counters["openloop_batch_p99_ms"] = batchSnap.p99 / 1000.0;
 }
 BENCHMARK(BM_ServeOpenLoopPoisson)
-    ->Arg(0)
-    ->Arg(1)
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
 

@@ -33,20 +33,6 @@ packKey(const Simulation &sim, std::uint64_t fp)
 
 } // namespace
 
-std::uint64_t
-laneCompatibilityKey(const SimulationConfig &config,
-                     MinuteIndex horizon_minutes)
-{
-    const std::uint64_t thermal_key =
-        SetupCache::factorizationKey(config) * 1099511628211ULL ^
-        static_cast<std::uint64_t>(config.thermalMode);
-    std::uint64_t key = static_cast<std::uint64_t>(config.numServers());
-    key = key * 1099511628211ULL ^ thermal_key;
-    key = key * 1099511628211ULL ^
-          static_cast<std::uint64_t>(horizon_minutes);
-    return key;
-}
-
 LaneBatchRunner::LaneBatchRunner(LaneBatchOptions options)
     : options_(options)
 {
@@ -211,7 +197,6 @@ LaneBatchRunner::stepGroup(Group &group, MinuteIndex offset)
             // cancelled lane is retired for good (it cannot rejoin the
             // bank's ring phase after sitting slots out).
             lane.remaining = 0;
-            lane.cancelled = true;
             finishLane(group, lane);
             continue;
         }
@@ -429,13 +414,6 @@ LaneBatchRunner::remaining(std::size_t lane) const
 {
     ECOLO_ASSERT(lane < lanes_.size(), "lane index out of range");
     return lanes_[lane].remaining;
-}
-
-bool
-LaneBatchRunner::cancelled(std::size_t lane) const
-{
-    ECOLO_ASSERT(lane < lanes_.size(), "lane index out of range");
-    return lanes_[lane].cancelled;
 }
 
 void

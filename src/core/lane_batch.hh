@@ -50,17 +50,6 @@
 
 namespace ecolo::core {
 
-/**
- * The group-formation rule as a single hash, for callers that must
- * decide *before* construction whether two requests could share a SoA
- * pass (the serve scheduler's micro-batching key). Folds the server
- * count, the thermal key (factorization key x kernel mode), and the
- * horizon; equal keys are exactly the requests LaneBatchRunner would
- * pack into one group when added at now() == 0 with this horizon.
- */
-std::uint64_t laneCompatibilityKey(const SimulationConfig &config,
-                                   MinuteIndex horizon_minutes);
-
 struct LaneBatchOptions
 {
     /** Lanes packed per group, clamped to [1, LaneThermalBank::kLanes].
@@ -95,13 +84,6 @@ class LaneBatchRunner
 
     bool finished() const;
     MinuteIndex remaining(std::size_t lane) const;
-    /**
-     * True when the lane was retired by its cancel check rather than
-     * by exhausting its horizon. Both end states leave remaining() at
-     * zero; serving-side callers need the distinction to answer
-     * CANCELLED vs RESULT per lane.
-     */
-    bool cancelled(std::size_t lane) const;
 
     /**
      * Per-slot observation hook, called after a lane finishes a slot
@@ -129,7 +111,6 @@ class LaneBatchRunner
         Simulation *sim = nullptr;
         MinuteIndex remaining = 0;
         bool active = false;      //!< participating in the current run()
-        bool cancelled = false;   //!< retired by its cancel check
         bool benignStale = false; //!< skipped uniform workload phases
         int bankSlot = -1;        //!< column in the group's bank, -1 = scalar
     };

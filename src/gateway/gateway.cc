@@ -629,10 +629,10 @@ Gateway::dispatch(Conn &conn)
                            errorBody("method_not_allowed",
                                      "use GET"),
                            keepAlive, {{"Allow", "GET"}});
-        // The document includes per-worker serve.batch.* and
-        // serve.setup_cache.* counters fetched over blocking STATS
-        // RPCs, so the collection runs on a forwarder thread -- the
-        // epoll loop must never wait on a worker socket.
+        // The document includes per-worker serve.setup_cache.*
+        // counters fetched over blocking STATS RPCs, so the collection
+        // runs on a forwarder thread -- the epoll loop must never wait
+        // on a worker socket.
         conn.busy = true;
         const std::uint64_t connId = conn.id;
         enqueueJob([this, connId, keepAlive, started] {
@@ -1357,13 +1357,6 @@ Gateway::collectWorkerServeStats()
 {
     // Each mirrored worker key, and the gateway.cluster.* sum it feeds.
     static const std::pair<const char *, const char *> kKeys[] = {
-        {"serve.batch.batches", "gateway.cluster.batch.batches"},
-        {"serve.batch.batched_requests",
-         "gateway.cluster.batch.batched_requests"},
-        {"serve.batch.scalar_fallbacks", nullptr},
-        {"serve.batch.max_occupancy", nullptr},
-        {"serve.batch.occupancy.mean", nullptr},
-        {"serve.batch.window_delay.p99_us", nullptr},
         {"serve.setup_cache.hits", "gateway.cluster.setup_cache.hits"},
         {"serve.setup_cache.misses", "gateway.cluster.setup_cache.misses"},
     };
@@ -1394,10 +1387,8 @@ Gateway::collectWorkerServeStats()
             sums[k] += value->asNumber();
         }
     }
-    for (std::size_t k = 0; k < std::size(kKeys); ++k) {
-        if (kKeys[k].second != nullptr)
-            stats_.gauge(kKeys[k].second).set(sums[k]);
-    }
+    for (std::size_t k = 0; k < std::size(kKeys); ++k)
+        stats_.gauge(kKeys[k].second).set(sums[k]);
 }
 
 std::string

@@ -1,6 +1,5 @@
 #include "serve/scheduler.hh"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -35,15 +34,13 @@ Scheduler::LaneQueue::pop()
     return job;
 }
 
-Scheduler::Scheduler(Options options, BatchFn executor)
+Scheduler::Scheduler(Options options, Executor executor)
     : options_([&] {
           Options o = std::move(options);
           if (o.numWorkers == 0)
               o.numWorkers = 1;
           if (o.batchBoostEvery == 0)
               o.batchBoostEvery = 1;
-          if (o.batchMaxLanes == 0)
-              o.batchMaxLanes = 1;
           return o;
       }()),
       executor_(std::move(executor)),
@@ -54,7 +51,7 @@ Scheduler::~Scheduler() { drain(false); }
 
 Scheduler::SubmitResult
 Scheduler::submit(std::uint64_t id, Lane lane,
-                  const std::string &client_id, std::uint64_t batch_key,
+                  const std::string &client_id,
                   std::shared_ptr<void> payload,
                   std::optional<std::chrono::steady_clock::time_point>
                       deadline)
@@ -73,7 +70,6 @@ Scheduler::submit(std::uint64_t id, Lane lane,
     Job entry;
     entry.id = id;
     entry.lane = lane;
-    entry.batchKey = batch_key;
     entry.payload = std::move(payload);
     entry.deadline = deadline;
     entry.enqueued = std::chrono::steady_clock::now();
@@ -81,10 +77,7 @@ Scheduler::submit(std::uint64_t id, Lane lane,
     lanes_[static_cast<int>(lane)].push(client_id, std::move(entry));
     admitted_.inc();
     queueDepth_.set(static_cast<double>(queued + 1));
-    // notify_all, not notify_one: a worker holding a batching window
-    // open also waits on this condvar, and it must not swallow the
-    // only wakeup meant for an idle worker (or vice versa).
-    workAvailable_.notify_all();
+    workAvailable_.notify_one();
     return {Admission::Admitted, queued + 1};
 }
 
@@ -137,95 +130,11 @@ Scheduler::noteDispatchLocked(Job &job)
     }
 }
 
-std::size_t
-Scheduler::collectPeersLocked(std::uint64_t key, std::size_t max,
-                              std::vector<Job> &out)
-{
-    std::size_t taken = 0;
-    for (LaneQueue &lane : lanes_) {
-        for (auto it = lane.perClient.begin();
-             taken < max && it != lane.perClient.end();) {
-            auto &fifo = it->second;
-            for (auto jit = fifo.begin();
-                 taken < max && jit != fifo.end();) {
-                if (jit->batchKey != key) {
-                    ++jit;
-                    continue;
-                }
-                noteDispatchLocked(*jit);
-                out.push_back(std::move(*jit));
-                jit = fifo.erase(jit);
-                --lane.size;
-                ++taken;
-            }
-            if (fifo.empty()) {
-                const auto rot =
-                    std::find(lane.rotation.begin(),
-                              lane.rotation.end(), it->first);
-                if (rot != lane.rotation.end())
-                    lane.rotation.erase(rot);
-                it = lane.perClient.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (taken >= max)
-            break;
-    }
-    return taken;
-}
-
-void
-Scheduler::gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
-                             std::unique_lock<std::mutex> &lock)
-{
-    const std::size_t max_peers = options_.batchMaxLanes - 1;
-    collectPeersLocked(seed.batchKey, max_peers, peers);
-
-    // Interactive seeds dispatch immediately, never holding the window.
-    double waited_us = 0.0;
-    if (options_.batchWindow.count() > 0 && seed.lane == Lane::Batch &&
-        !draining_ && peers.size() < max_peers) {
-        batchWindowWaits_.inc();
-        const auto opened = std::chrono::steady_clock::now();
-        const auto closes = opened + options_.batchWindow;
-        while (peers.size() < max_peers && !draining_) {
-            if (workAvailable_.wait_until(lock, closes) ==
-                std::cv_status::timeout) {
-                collectPeersLocked(seed.batchKey,
-                                   max_peers - peers.size(), peers);
-                break;
-            }
-            collectPeersLocked(seed.batchKey,
-                               max_peers - peers.size(), peers);
-        }
-        waited_us = static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - opened)
-                .count());
-    }
-    const double members = static_cast<double>(1 + peers.size());
-    batchWindowDelay_.record(waited_us);
-    batchOccupancy_.record(members);
-    if (peers.empty()) {
-        batchScalarFallbacks_.inc();
-    } else {
-        batches_.inc();
-        batchedJobs_.inc(1 + peers.size());
-        if (members > batchMaxOccupancy_.value())
-            batchMaxOccupancy_.set(members);
-    }
-}
-
 void
 Scheduler::workerLoop()
 {
-    std::vector<Job> peers;
-    std::vector<BatchItem> items;
     for (;;) {
         Job job;
-        peers.clear();
-        items.clear();
         {
             std::unique_lock<std::mutex> lock(mutex_);
             workAvailable_.wait(lock, [&] {
@@ -237,44 +146,33 @@ Scheduler::workerLoop()
                 continue;
             }
             noteDispatchLocked(job);
-            gatherBatchLocked(job, peers, lock);
             queueDepth_.set(
                 static_cast<double>(lanes_[0].size + lanes_[1].size));
-            running_.add(static_cast<double>(1 + peers.size()));
+            running_.add(1.0);
         }
 
-        items.reserve(1 + peers.size());
-        items.push_back(
-            {job.id, job.lane, job.token, std::move(job.payload)});
-        for (Job &peer : peers)
-            items.push_back({peer.id, peer.lane, peer.token,
-                             std::move(peer.payload)});
+        Item item{job.id, job.lane, job.token, std::move(job.payload)};
         {
-            telemetry::TraceSpan span("serve.batch");
+            telemetry::TraceSpan span("serve.job");
             try {
-                executor_(items);
+                executor_(item);
             } catch (const std::exception &e) {
-                ecolo::warn("serve: batch of ", items.size(),
+                ecolo::warn("serve: job ", job.id,
                             " failed with exception: ", e.what());
             } catch (...) {
-                ecolo::warn("serve: batch of ", items.size(),
+                ecolo::warn("serve: job ", job.id,
                             " failed with unknown exception");
             }
         }
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            running_.add(-static_cast<double>(1 + peers.size()));
-            const auto retire = [&](const Job &done) {
-                if (done.token.cancelled())
-                    cancelled_.inc();
-                else
-                    completed_.inc();
-                liveTokens_.erase(done.id);
-            };
-            retire(job);
-            for (const Job &peer : peers)
-                retire(peer);
+            running_.add(-1.0);
+            if (job.token.cancelled())
+                cancelled_.inc();
+            else
+                completed_.inc();
+            liveTokens_.erase(job.id);
         }
         // A finished job may have been the last thing a drain was
         // waiting on; make sure idle workers re-check the exit

@@ -25,21 +25,9 @@
  *   dispatched and observes its token immediately, so the completion
  *   path (responding CANCELLED to the waiting client) always runs and
  *   no pool task is ever leaked.
- * - Every dispatch is a micro-batch. A job carries a batch key (the
- *   lane-compatibility key: same formation rule as
- *   core::LaneBatchRunner group packing) and an opaque payload; the
- *   one BatchFn executor given at construction runs them. When a
- *   worker pops a job it first sweeps the queues for every other job
- *   with the same key (up to batchMaxLanes total), then -- batch-lane
- *   seeds only; interactive seeds never wait -- waits up to
- *   batchWindow for more compatible arrivals before dispatching the
- *   whole set as one executor call. The executor packs the members
- *   into one SoA LaneThermalBank pass and fans per-lane results back
- *   per request. With batchMaxLanes = 1 every dispatch is one job and
- *   strict client fairness holds; otherwise a swept batch member may
- *   run ahead of its own client's earlier non-matching jobs (batching
- *   trades strict per-client FIFO order within a client for lane
- *   occupancy; cross-client ordering is unaffected).
+ * - Every dispatch is one job. A job carries an opaque payload that
+ *   the one Executor given at construction runs alone, so strict
+ *   per-client FIFO order holds in every lane.
  *
  * Execution: run() dispatches the worker loops onto a dedicated
  * util::ThreadPool via one long parallelFor (each index is a persistent
@@ -62,7 +50,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "telemetry/latency.hh"
 #include "util/parallel.hh"
@@ -117,11 +104,11 @@ class Scheduler
 {
   public:
     /**
-     * One member of a micro-batch handed to the BatchFn executor. The
-     * payload is the opaque per-request state the submitter attached
-     * (the server's pending-run record); the executor downcasts it.
+     * One dispatched job, handed to the Executor. The payload is the
+     * opaque per-request state the submitter attached (the server's
+     * pending-run record); the executor downcasts it.
      */
-    struct BatchItem
+    struct Item
     {
         std::uint64_t id = 0;
         Lane lane = Lane::Interactive;
@@ -130,25 +117,16 @@ class Scheduler
     };
 
     /**
-     * Executes one micro-batch (1..batchMaxLanes same-key members).
-     * Must poll every member's token to honor cancellation, and answer
-     * every member -- including ones whose token is already cancelled.
+     * Executes one job. Must poll the token to honor cancellation, and
+     * answer the job even when its token is already cancelled.
      */
-    using BatchFn = std::function<void(std::vector<BatchItem> &)>;
+    using Executor = std::function<void(Item &)>;
 
     struct Options
     {
         std::size_t numWorkers = 2;
         std::size_t maxQueued = 32;     //!< waiting jobs across both lanes
         std::size_t batchBoostEvery = 4; //!< see file comment
-        /** Max members per micro-batch (SIMD lane count upstream). */
-        std::size_t batchMaxLanes = 8;
-        /**
-         * How long a dispatching batch-lane worker may hold an
-         * under-full batch open for more compatible arrivals. Zero
-         * batches only what is already queued (purely opportunistic).
-         */
-        std::chrono::milliseconds batchWindow{0};
     };
 
     enum class Admission
@@ -165,7 +143,7 @@ class Scheduler
     };
 
     /** @param executor runs every dispatch; must not be empty. */
-    Scheduler(Options options, BatchFn executor);
+    Scheduler(Options options, Executor executor);
 
     /**
      * Drains (without cancelling). The thread calling run() must have
@@ -178,9 +156,8 @@ class Scheduler
 
     /**
      * Enqueue a job under (lane, client). @param id must be unique among
-     * live jobs (the server's request id). @param batch_key is the
-     * lane-compatibility key (equal keys may share one executor call)
-     * and @param payload the opaque state the executor downcasts.
+     * live jobs (the server's request id). @param payload is the
+     * opaque state the executor downcasts.
      * Never blocks. An optional deadline makes the timeout cooperative
      * end to end: a job whose deadline has passed by the time a worker
      * picks it up is dispatched with its token already cancelled
@@ -189,7 +166,7 @@ class Scheduler
      */
     SubmitResult
     submit(std::uint64_t id, Lane lane, const std::string &client_id,
-           std::uint64_t batch_key, std::shared_ptr<void> payload,
+           std::shared_ptr<void> payload,
            std::optional<std::chrono::steady_clock::time_point>
                deadline = std::nullopt);
 
@@ -223,7 +200,6 @@ class Scheduler
     {
         std::uint64_t id = 0;
         Lane lane = Lane::Interactive;
-        std::uint64_t batchKey = 0;
         std::shared_ptr<void> payload;
         CancelToken token;
         std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -243,14 +219,10 @@ class Scheduler
 
     bool popNextLocked(Job &out);
     void noteDispatchLocked(Job &job);
-    std::size_t collectPeersLocked(std::uint64_t key, std::size_t max,
-                                   std::vector<Job> &out);
-    void gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
-                           std::unique_lock<std::mutex> &lock);
     void workerLoop();
 
     const Options options_;
-    const BatchFn executor_;
+    const Executor executor_;
     util::ThreadPool pool_;
 
     mutable std::mutex mutex_;
@@ -279,29 +251,12 @@ class Scheduler
     telemetry::Counter *const dispatched_[2] = { // indexed by Lane
         &stats_.counter("serve.dispatch.interactive"),
         &stats_.counter("serve.dispatch.batch")};
-    /** Dispatches with >= 2 members, and the jobs in them. */
-    telemetry::Counter &batches_ = stats_.counter("serve.batch.batches");
-    telemetry::Counter &batchedJobs_ =
-        stats_.counter("serve.batch.batched_requests");
-    /** Jobs that ran alone. */
-    telemetry::Counter &batchScalarFallbacks_ =
-        stats_.counter("serve.batch.scalar_fallbacks");
-    /** Dispatches that held the batching window open. */
-    telemetry::Counter &batchWindowWaits_ =
-        stats_.counter("serve.batch.window_waits");
-    telemetry::Gauge &batchMaxOccupancy_ =
-        stats_.gauge("serve.batch.max_occupancy");
     telemetry::Gauge &queueDepth_ = stats_.gauge("serve.queue.depth");
     telemetry::Gauge &running_ = stats_.gauge("serve.queue.running");
     /** Time queued before dispatch, indexed by Lane. */
     telemetry::TailLatency *const queueWait_[2] = {
         &stats_.tail("serve.latency.interactive.queue_wait", "_us"),
         &stats_.tail("serve.latency.batch.queue_wait", "_us")};
-    /** Members per dispatch, and the delay the window added. */
-    telemetry::TailLatency &batchOccupancy_ =
-        stats_.tail("serve.batch.occupancy", "");
-    telemetry::TailLatency &batchWindowDelay_ =
-        stats_.tail("serve.batch.window_delay", "_us");
 };
 
 } // namespace ecolo::serve

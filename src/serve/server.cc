@@ -8,7 +8,6 @@
 
 #include "core/checkpoint.hh"
 #include "core/engine.hh"
-#include "core/lane_batch.hh"
 #include "core/report.hh"
 #include "core/scenario.hh"
 #include "telemetry/telemetry.hh"
@@ -53,8 +52,7 @@ replyError(util::TcpConnection &conn, std::uint64_t request_id,
 
 /**
  * Everything an admitted run needs, parked in the scheduler queue as
- * the BatchItem payload until a dispatching worker packs it into a
- * LaneBatchRunner lane.
+ * the Item payload until a worker runs it.
  */
 struct PendingRun
 {
@@ -79,16 +77,9 @@ Server::Server(ServerOptions options)
               o.numWorkers = options_.numWorkers;
               o.maxQueued = options_.maxQueued;
               o.batchBoostEvery = options_.batchBoostEvery;
-              o.batchMaxLanes =
-                  std::clamp<std::size_t>(options_.batchMaxLanes, 1,
-                                          thermal::LaneThermalBank::kLanes);
-              o.batchWindow =
-                  std::chrono::milliseconds(options_.batchWindowMs);
               return o;
           }(),
-          [this](std::vector<Scheduler::BatchItem> &items) {
-              runSimulationBatch(items);
-          }),
+          [this](Scheduler::Item &item) { runSimulation(item); }),
       cache_(options_.cacheMaxBytes, options_.cacheMaxEntries)
 {}
 
@@ -466,10 +457,8 @@ Server::submitRun(
     run->deadline = deadline;
     run->received = received;
     run->acceptedSent = std::move(accepted_sent);
-    const std::uint64_t batch_key =
-        core::laneCompatibilityKey(run->config, request.horizonMinutes);
     return scheduler_.submit(id, prepared.lane, request.clientId,
-                             batch_key, std::move(run), deadline);
+                             std::move(run), deadline);
 }
 
 void
@@ -548,71 +537,32 @@ Server::startSimulation(
 }
 
 void
-Server::runSimulationBatch(std::vector<Scheduler::BatchItem> &items)
+Server::runSimulation(Scheduler::Item &item)
 {
-    struct Member
-    {
-        PendingRun *run = nullptr;
-        CancelToken token;
-        std::unique_ptr<core::Simulation> sim;
-    };
-    std::vector<Member> members;
-    members.reserve(items.size());
-    // The batch cannot touch any member's socket until every member's
-    // submit handler has written its ACCEPTED frame (replayed runs
-    // have no connection and no gate).
-    for (Scheduler::BatchItem &item : items) {
-        auto *run = static_cast<PendingRun *>(item.payload.get());
-        if (run->acceptedSent.valid())
-            run->acceptedSent.wait();
-        members.push_back(Member{run, item.token, nullptr});
-    }
+    const PendingRun &run = *static_cast<PendingRun *>(item.payload.get());
+    // No frame may reach the socket before the submit handler has
+    // written ACCEPTED (a replayed run has no connection and no gate).
+    if (run.acceptedSent.valid())
+        run.acceptedSent.wait();
+    std::unique_ptr<core::Simulation> sim =
+        startSimulation(run.conn, run.id, run.request, run.config,
+                        item.token, run.deadline, run.received);
+    if (!sim)
+        return;
 
-    // Lane packing: all members share a compatibility key, so they land
-    // in one LaneBatchRunner group and advance through a single SoA
-    // bank pass per slot. A member whose policy fails to build has
-    // already been answered and simply takes no lane.
-    core::LaneBatchRunner runner;
-    for (Member &member : members) {
-        member.sim = startSimulation(
-            member.run->conn, member.run->id, member.run->request,
-            member.run->config, member.token, member.run->deadline,
-            member.run->received);
-        if (member.sim)
-            runner.add(*member.sim,
-                       member.run->request.horizonMinutes);
+    // A STATUS frame every statusEveryMinutes simulated minutes; a
+    // cancelled run stops at the minute its cancel check fired.
+    const MinuteIndex horizon = run.request.horizonMinutes;
+    while (sim->now() < horizon && !item.token.cancelled()) {
+        sim->run(std::min(options_.statusEveryMinutes,
+                          horizon - sim->now()));
+        if (run.conn && sim->now() < horizon && !item.token.cancelled())
+            (void)writeFrame(*run.conn, MessageType::Status, run.id,
+                             encodeStatus(
+                                 StatusPayload{sim->now(), horizon}));
     }
-
-    // STATUS frames land every statusEveryMinutes simulated minutes,
-    // and a lane that cancels or finishes mid-chunk is retired by the
-    // runner exactly where sim.run would have stopped. Cancellation is
-    // masked per-lane divergence: a cancelled lane's batchmates keep
-    // advancing undisturbed.
-    while (!runner.finished()) {
-        runner.run(options_.statusEveryMinutes);
-        for (Member &member : members) {
-            if (!member.sim)
-                continue;
-            const MinuteIndex horizon =
-                member.run->request.horizonMinutes;
-            if (member.run->conn && member.sim->now() < horizon &&
-                !member.token.cancelled())
-                (void)writeFrame(
-                    *member.run->conn, MessageType::Status,
-                    member.run->id,
-                    encodeStatus(
-                        StatusPayload{member.sim->now(), horizon}));
-        }
-    }
-
-    for (Member &member : members) {
-        if (!member.sim)
-            continue;
-        concludeSimulation(member.run->conn, member.run->id,
-                           member.run->request, member.run->config,
-                           member.run->key, member.token, *member.sim,
-                           member.run->received);
-    }
+    concludeSimulation(run.conn, run.id, run.request, run.config, run.key,
+                       item.token, *sim, run.received);
 }
 
 void

@@ -21,7 +21,7 @@
  * Serving statistics live in per-instance telemetry registries, always
  * on (also with telemetry compiled out): the result cache's
  * serve.cache.*, the scheduler's serve.requests.*, serve.dispatch.*,
- * serve.batch.*, serve.queue.* and queue-wait tails, and the server's
+ * serve.queue.* and queue-wait tails, and the server's
  * own serve.connections.*, serve.protocol.*, serve.journal.*,
  * serve.setup_cache.* and per-lane serve.latency.* tails. metricsJson()
  * dumps them, followed by the process registry's engine stats, as one
@@ -91,20 +91,6 @@ struct ServerOptions
     std::size_t numWorkers = 2;    //!< concurrent simulations
     std::size_t maxQueued = 32;    //!< admission bound (both lanes)
     std::size_t batchBoostEvery = 4;
-    /**
-     * Members per micro-batch, clamped to [1, LaneThermalBank::kLanes].
-     * Lane-compatible admitted runs (same server count, thermal key,
-     * and horizon) share one SoA LaneThermalBank pass; every run shares
-     * one process-wide core::SetupCache. Responses are byte-identical
-     * to a direct Simulation::run at every lane count; 1 runs each
-     * request alone.
-     */
-    std::size_t batchMaxLanes = 8;
-    /**
-     * How long a batch-lane dispatch may hold an under-full batch open
-     * for more compatible arrivals. Interactive requests never wait.
-     */
-    std::uint32_t batchWindowMs = 2;
     std::size_t cacheMaxBytes = 32u << 20;
     std::size_t cacheMaxEntries = 1024;
     /** RETRY_AFTER hint handed to backpressured clients. */
@@ -195,12 +181,12 @@ class Server
         std::chrono::steady_clock::time_point received,
         std::shared_future<void> accepted_sent);
     /**
-     * Run one micro-batch of admitted simulations as lanes of a
-     * LaneBatchRunner: the scheduler's executor, which every admitted
-     * run goes through. Each member gets its own frames, journal
-     * outcome, cache fill, and a report byte-identical to a direct run.
+     * Run one admitted simulation: the scheduler's executor, which
+     * every admitted run goes through. Streams STATUS frames, then
+     * answers, journals and caches a report byte-identical to a direct
+     * Simulation::run.
      */
-    void runSimulationBatch(std::vector<Scheduler::BatchItem> &items);
+    void runSimulation(Scheduler::Item &item);
     /**
      * Policy construction + Simulation + cooperative cancel check: the
      * prologue of every run. Null after an error (already answered and

@@ -191,6 +191,54 @@ TEST(LaneBatch, ChunkedRunsCheckpointCompatibleWithScalar)
     EXPECT_EQ(snapshot(resumed), snapshot(*lane_sims[1]));
 }
 
+TEST(LaneBatch, CancelledLaneStopsWhereRunStops)
+{
+    // Four lanes of one scenario; lane 2's cancel check fires at minute
+    // 500. The runner polls it where Simulation::run does -- before the
+    // step -- so the lane stops at the same minute with the same state,
+    // and its banked neighbours finish as if it had never been there.
+    constexpr MinuteIndex kHorizon = 1440;
+    constexpr MinuteIndex kCancelAt = 500;
+    constexpr std::size_t kCancelled = 2;
+    const MemberSpec specs[] = {
+        {"myopic", 7.4, 0.2, kHorizon, false},
+        {"myopic", 7.0, 0.2, kHorizon, false},
+        {"myopic", 7.8, 0.2, kHorizon, false},
+        {"myopic", 7.2, 0.2, kHorizon, false},
+    };
+    auto cache = std::make_shared<SetupCache>();
+
+    std::vector<std::unique_ptr<Simulation>> lane_sims;
+    std::vector<std::unique_ptr<Simulation>> scalar_sims;
+    for (const auto &spec : specs) {
+        const auto config = memberConfig(spec, cache);
+        lane_sims.push_back(std::make_unique<Simulation>(
+            config, memberPolicy(spec, config)));
+        scalar_sims.push_back(std::make_unique<Simulation>(
+            config, memberPolicy(spec, config)));
+    }
+    for (auto *sims : {&lane_sims, &scalar_sims}) {
+        Simulation &sim = *(*sims)[kCancelled];
+        sim.setCancelCheck([&sim] { return sim.now() >= kCancelAt; });
+    }
+
+    LaneBatchRunner runner;
+    for (std::size_t i = 0; i < lane_sims.size(); ++i)
+        runner.add(*lane_sims[i], specs[i].horizon);
+    runner.runAll();
+    ASSERT_TRUE(runner.finished());
+    EXPECT_GE(runner.stats().bankedLanes, 2u);
+
+    for (std::size_t i = 0; i < scalar_sims.size(); ++i) {
+        scalar_sims[i]->run(specs[i].horizon);
+        EXPECT_EQ(lane_sims[i]->now(),
+                  i == kCancelled ? kCancelAt : kHorizon);
+        EXPECT_EQ(lane_sims[i]->now(), scalar_sims[i]->now());
+        EXPECT_EQ(snapshot(*lane_sims[i]), snapshot(*scalar_sims[i]))
+            << "lane " << i << " diverged from its solo run";
+    }
+}
+
 TEST(LaneBatchParallel, MultiGroupCampaignMatchesScalar)
 {
     // More members than a group holds: the runner forms multiple groups

@@ -204,9 +204,8 @@ TEST(ZeroAllocation, LaneBatchSlotLoopIsAllocationFree)
 
 TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
 {
-    // The serving tier's micro-batch executor drives the same runner in
-    // statusEveryMinutes-sized chunks with a per-lane cancel check
-    // installed (the scheduler token poll). Neither the chunked
+    // The runner driven in status-sized chunks with a per-lane cancel
+    // check installed (a serve-style token poll). Neither the chunked
     // re-entry, nor the armed cancel branch, nor retiring a cancelled
     // lane mid-measurement may touch the heap.
     auto cache = std::make_shared<SetupCache>();
@@ -244,7 +243,9 @@ TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
     EXPECT_EQ(during, 0)
         << "the serve-style batched lane loop touched the heap";
     EXPECT_TRUE(runner.finished());
-    EXPECT_TRUE(runner.cancelled(1));
+    // Retired by its cancel check: no minutes left, well short of its
+    // horizon.
+    EXPECT_EQ(runner.remaining(1), 0);
     EXPECT_EQ(sims[1]->now(), 30 + 120);
     EXPECT_EQ(sims[0]->now(), 30 + 360);
 }

@@ -596,17 +596,11 @@ TEST(GatewayE2E, StatsDocumentCarriesGatewayMetrics)
     EXPECT_GE(metric("gateway.latency.runs.p99_us"), 0.0);
     EXPECT_GE(metric("gateway.workers.healthy"), 1.0);
 
-    // The stats route pulls each worker's micro-batching and
-    // setup-cache counters over a STATS RPC and mirrors them in. One
-    // lone run batches with nobody, so it shows up as a scalar
-    // fallback and a setup-cache miss, per worker and cluster-wide.
-    EXPECT_GE(metric("gateway.worker.0.serve.batch.scalar_fallbacks"),
-              1.0);
-    EXPECT_GE(metric("gateway.worker.0.serve.batch.occupancy.mean"),
-              1.0);
+    // The stats route pulls each worker's setup-cache counters over a
+    // STATS RPC and mirrors them in. One lone run shows up as a
+    // setup-cache miss, per worker and cluster-wide.
     EXPECT_GE(metric("gateway.worker.0.serve.setup_cache.misses"), 1.0);
     EXPECT_GE(metric("gateway.cluster.setup_cache.misses"), 1.0);
-    EXPECT_GE(metric("gateway.cluster.batch.batches"), 0.0);
     // Only mirrored: the in-process worker's own stats stay in the
     // worker's document.
     EXPECT_EQ(stats->member("serve.cache.hits"), nullptr);
@@ -647,20 +641,6 @@ serveMetricKeys()
         "serve.requests.deadline_expired_queued",
         "serve.dispatch.interactive",
         "serve.dispatch.batch",
-        "serve.batch.batches",
-        "serve.batch.batched_requests",
-        "serve.batch.scalar_fallbacks",
-        "serve.batch.window_waits",
-        "serve.batch.max_occupancy",
-        "serve.batch.occupancy.count",
-        "serve.batch.occupancy.mean",
-        "serve.batch.occupancy.p50",
-        "serve.batch.occupancy.p99",
-        "serve.batch.occupancy.max",
-        "serve.batch.window_delay.count",
-        "serve.batch.window_delay.mean_us",
-        "serve.batch.window_delay.p99_us",
-        "serve.batch.window_delay.max_us",
         "serve.setup_cache.hits",
         "serve.setup_cache.misses",
         "serve.setup_cache.trace_hits",
@@ -707,8 +687,6 @@ gatewayMetricKeys()
         "gateway.runs.async",
         "gateway.workers.total",
         "gateway.workers.healthy",
-        "gateway.cluster.batch.batches",
-        "gateway.cluster.batch.batched_requests",
         "gateway.cluster.setup_cache.hits",
         "gateway.cluster.setup_cache.misses",
     };
@@ -721,10 +699,7 @@ gatewayMetricKeys()
     for (const char *field :
          {"forwarded", "answered", "cache_hits", "retry_later",
           "transport_errors", "failovers_from", "probes", "probe_failures",
-          "healthy", "serve.batch.batches", "serve.batch.batched_requests",
-          "serve.batch.scalar_fallbacks", "serve.batch.max_occupancy",
-          "serve.batch.occupancy.mean", "serve.batch.window_delay.p99_us",
-          "serve.setup_cache.hits", "serve.setup_cache.misses"})
+          "healthy", "serve.setup_cache.hits", "serve.setup_cache.misses"})
         keys.push_back(std::string("gateway.worker.0.") + field);
     return keys;
 }

@@ -1,12 +1,11 @@
 /**
  * @file
- * Equivalence properties for the serving stack's one executor: at
- * every lane count -- 8 (cross-request SoA lanes) and 1 (each request
- * alone) -- every completed request must be byte-identical to a direct
- * Simulation::run render, and per-request semantics -- cancellation,
- * deadlines, chaos-injected transport faults -- must survive batching
- * as masked per-lane divergence. Each property runs once per lane
- * count: the plain test name at 8 lanes, the `SingleLane` one at 1.
+ * Equivalence properties for the serving stack's one executor, which
+ * runs each admitted request alone: every completed request must be
+ * byte-identical to a direct Simulation::run render under concurrent
+ * clients, and per-request semantics -- cancellation, deadlines,
+ * chaos-injected transport faults -- must hold while other requests
+ * run beside it.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +28,6 @@
 #include "faults/chaos.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
-#include "stat_reader.hh"
 #include "util/keyvalue.hh"
 #include "util/sim_time.hh"
 #include "util/socket.hh"
@@ -38,7 +36,6 @@ namespace ecolo::serve {
 namespace {
 
 using namespace std::chrono_literals;
-using test::readStat;
 
 /** Server on an ephemeral port; drained and joined at scope exit. */
 class ServerHarness
@@ -66,13 +63,11 @@ class ServerHarness
 };
 
 ServerOptions
-batchedOptions(std::size_t lanes, std::uint32_t window_ms = 25)
+concurrentOptions()
 {
     ServerOptions options;
     options.numWorkers = 2;
     options.maxQueued = 64;
-    options.batchMaxLanes = lanes;
-    options.batchWindowMs = window_ms;
     return options;
 }
 
@@ -133,13 +128,12 @@ directReport(const RequestSpec &spec,
     return os.str();
 }
 
-void
-checkCampaignMatchesDirectRender(std::size_t lanes)
+TEST(ServeBatchedIdentity, SingleLaneCampaignMatchesDirectRenderByteForByte)
 {
-    ServerHarness harness(batchedOptions(lanes));
+    ServerHarness harness(concurrentOptions());
 
-    // The shared setup cache serves every lane count: a second request
-    // with the same scenario reuses the first one's setup artifacts.
+    // The shared setup cache: a second request with the same scenario
+    // reuses the first one's setup artifacts.
     {
         auto client = harness.client();
         for (const double param : {4.0, 4.1}) {
@@ -152,9 +146,9 @@ checkCampaignMatchesDirectRender(std::size_t lanes)
         EXPECT_GT(setupHits(harness->setupCacheCounters()), 0u);
     }
 
-    // 8 concurrent clients, same scenario seed (one compatibility key),
-    // swept policy parameter (8 distinct results: the result cache
-    // cannot short-circuit any member).
+    // 8 concurrent clients, same scenario seed, swept policy parameter
+    // (8 distinct results: the result cache cannot short-circuit any
+    // member).
     constexpr int kRequests = 8;
     std::vector<std::string> reports(kRequests);
     std::atomic<int> failures{0};
@@ -181,15 +175,6 @@ checkCampaignMatchesDirectRender(std::size_t lanes)
         t.join();
     ASSERT_EQ(failures.load(), 0);
 
-    // Batching happened exactly when lanes allow it.
-    if (lanes > 1) {
-        EXPECT_GE(readStat(*harness, "serve.batch.batches"), 1.0);
-        EXPECT_GE(readStat(*harness, "serve.batch.max_occupancy"), 2.0);
-    } else {
-        EXPECT_EQ(readStat(*harness, "serve.batch.batches"), 0.0);
-        EXPECT_EQ(readStat(*harness, "serve.batch.batched_requests"), 0.0);
-    }
-
     // Every response is byte-identical to the direct render.
     auto shared = std::make_shared<core::SetupCache>();
     for (int i = 0; i < kRequests; ++i) {
@@ -197,33 +182,28 @@ checkCampaignMatchesDirectRender(std::size_t lanes)
             campaignRequest(5.0 + 0.1 * static_cast<double>(i));
         EXPECT_EQ(reports[static_cast<std::size_t>(i)],
                   directReport(spec, shared))
-            << "member " << i << " diverged at " << lanes << " lane(s)";
+            << "member " << i << " diverged";
     }
 
-    // The batching counters surface in the metrics document.
+    // Set-up reuse and batch-lane queueing surface in the metrics.
     const std::string metrics = harness->metricsJson();
-    EXPECT_NE(metrics.find("serve.batch.batches"), std::string::npos);
-    EXPECT_NE(metrics.find("serve.batch.occupancy.mean"),
-              std::string::npos);
     EXPECT_NE(metrics.find("serve.setup_cache.hits"), std::string::npos);
     EXPECT_NE(metrics.find("serve.latency.batch.queue_wait"),
               std::string::npos);
 }
 
-void
-checkCancelAndDeadlineMix(std::size_t lanes)
+TEST(ServeBatchedIdentity, SingleLaneCancelAndDeadlineMixKeepsSemantics)
 {
-    ServerHarness harness(batchedOptions(lanes, 50));
+    ServerHarness harness(concurrentOptions());
 
     // A seeded shuffle of three request kinds, all submitted
-    // concurrently so batches mix live, pre-expired, and soon-to-be
-    // cancelled members:
+    // concurrently so live, pre-expired, and soon-to-be cancelled
+    // requests share the workers:
     //  - "normal": 1-day horizon, must complete byte-identically;
-    //  - "expired": 1-day horizon with a 1 ms budget -- shares the
-    //    normals' compatibility key, so it rides the same batch as a
-    //    masked lane and must answer DEADLINE_EXCEEDED;
-    //  - "cancelled": 10-year horizon (its own key), cancelled right
-    //    after ACCEPTED, must answer CANCELLED.
+    //  - "expired": 1-day horizon with a 1 ms budget, must answer
+    //    DEADLINE_EXCEEDED;
+    //  - "cancelled": 10-year horizon, cancelled right after ACCEPTED,
+    //    must answer CANCELLED.
     enum class Kind
     {
         Normal,
@@ -298,23 +278,20 @@ checkCancelAndDeadlineMix(std::size_t lanes)
         t.join();
     EXPECT_EQ(bad.load(), 0);
 
-    // The mix still produced real batches (when lanes allow), and every
-    // member that completed is byte-identical to the direct render.
-    if (lanes > 1)
-        EXPECT_GE(readStat(*harness, "serve.batch.batches"), 1.0);
+    // Every request that completed is byte-identical to the direct
+    // render.
     ASSERT_EQ(completed.size(), 4u);
     auto shared = std::make_shared<core::SetupCache>();
     for (const auto &[spec, report] : completed)
         EXPECT_EQ(report, directReport(spec, shared));
 }
 
-void
-checkChaoticTransport(std::size_t lanes)
+TEST(ServeBatchedIdentity, SingleLaneChaoticTransportStaysByteIdentical)
 {
     // Benign unbounded chaos on every socket: delays and 7-byte
     // fragments. The retry client must reassemble responses that are
     // byte-identical to a calm-network direct render even when the
-    // batched server is streaming frames for several lanes at once.
+    // server is streaming frames for several requests at once.
     faults::ChaosSchedule schedule;
     schedule.setSeed(20260808);
     faults::ChaosRule shortOp;
@@ -334,7 +311,7 @@ checkChaoticTransport(std::size_t lanes)
     ASSERT_NE(injector, nullptr);
 
     {
-        ServerHarness harness(batchedOptions(lanes));
+        ServerHarness harness(concurrentOptions());
         constexpr int kRequests = 6;
         std::vector<std::string> reports(kRequests);
         std::atomic<int> failures{0};
@@ -369,36 +346,6 @@ checkChaoticTransport(std::size_t lanes)
         }
     }
     util::setGlobalSocketFaultInjector(nullptr);
-}
-
-TEST(ServeBatchedIdentity, BatchedCampaignMatchesDirectRenderByteForByte)
-{
-    checkCampaignMatchesDirectRender(8);
-}
-
-TEST(ServeBatchedIdentity, SingleLaneCampaignMatchesDirectRenderByteForByte)
-{
-    checkCampaignMatchesDirectRender(1);
-}
-
-TEST(ServeBatchedIdentity, RandomizedCancelAndDeadlineMixKeepsSemantics)
-{
-    checkCancelAndDeadlineMix(8);
-}
-
-TEST(ServeBatchedIdentity, SingleLaneCancelAndDeadlineMixKeepsSemantics)
-{
-    checkCancelAndDeadlineMix(1);
-}
-
-TEST(ServeBatchedIdentity, ChaoticTransportStaysByteIdentical)
-{
-    checkChaoticTransport(8);
-}
-
-TEST(ServeBatchedIdentity, SingleLaneChaoticTransportStaysByteIdentical)
-{
-    checkChaoticTransport(1);
 }
 
 } // namespace

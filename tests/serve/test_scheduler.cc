@@ -11,9 +11,8 @@
  * by the scheduling policy.
  *
  * The scheduler has one executor for every dispatch. These tests give
- * it a test-local one that runs a callable stored in each job's
- * payload (a Body); a job with no payload is a bare batch member whose
- * dispatch only BatchLog records.
+ * it a test-local one that runs the callable stored in each job's
+ * payload (a Body).
  */
 
 #include <gtest/gtest.h>
@@ -42,33 +41,19 @@ using Body = std::function<void(const CancelToken &)>;
 using test::readStat;
 using test::readTail;
 
-/** The test executor: runs each member's Body, if it carries one. */
+/** The test executor: runs the job's Body. */
 void
-runBodies(std::vector<Scheduler::BatchItem> &items)
+runBody(Scheduler::Item &item)
 {
-    for (Scheduler::BatchItem &item : items) {
-        if (item.payload)
-            (*static_cast<Body *>(item.payload.get()))(item.token);
-    }
-}
-
-/** One worker, one job per dispatch: every job is dispatched alone. */
-Scheduler::Options
-singleLaneOptions(std::size_t workers = 1)
-{
-    Scheduler::Options options;
-    options.numWorkers = workers;
-    options.batchMaxLanes = 1;
-    return options;
+    (*static_cast<Body *>(item.payload.get()))(item.token);
 }
 
 /** Runs scheduler.run() on a joined thread; drains on destruction. */
 class SchedulerHarness
 {
   public:
-    explicit SchedulerHarness(Scheduler::Options options,
-                              Scheduler::BatchFn executor = runBodies)
-        : scheduler_(options, std::move(executor)),
+    explicit SchedulerHarness(Scheduler::Options options)
+        : scheduler_(options, runBody),
           runner_([this] { scheduler_.run(); })
     {}
 
@@ -83,14 +68,14 @@ class SchedulerHarness
     Scheduler &operator*() { return scheduler_; }
     Scheduler *operator->() { return &scheduler_; }
 
-    /** Submit a job that runs `body`; its key is its id (never shared). */
+    /** Submit a job that runs `body`. */
     Scheduler::SubmitResult
     submit(std::uint64_t id, Lane lane, const std::string &client,
            Body body,
            std::optional<std::chrono::steady_clock::time_point>
                deadline = std::nullopt)
     {
-        return scheduler_.submit(id, lane, client, id,
+        return scheduler_.submit(id, lane, client,
                                  std::make_shared<Body>(std::move(body)),
                                  deadline);
     }
@@ -179,7 +164,8 @@ class OrderLog
 
 TEST(ServeSchedulerParallel, InteractiveLaneIsNeverStarvedByBatch)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 64;
     SchedulerHarness harness(options);
 
@@ -212,7 +198,8 @@ TEST(ServeSchedulerParallel, InteractiveLaneIsNeverStarvedByBatch)
 
 TEST(ServeSchedulerParallel, BatchIsBoostedUnderInteractiveFlood)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 64;
     options.batchBoostEvery = 2;
     SchedulerHarness harness(options);
@@ -243,7 +230,8 @@ TEST(ServeSchedulerParallel, BatchIsBoostedUnderInteractiveFlood)
 
 TEST(ServeSchedulerParallel, ClientsAreServedRoundRobinWithinALane)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 64;
     SchedulerHarness harness(options);
 
@@ -270,7 +258,8 @@ TEST(ServeSchedulerParallel, ClientsAreServedRoundRobinWithinALane)
 
 TEST(ServeSchedulerParallel, AdmissionIsBoundedAndReportsQueueFull)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 2;
     SchedulerHarness harness(options);
 
@@ -298,7 +287,8 @@ TEST(ServeSchedulerParallel, AdmissionIsBoundedAndReportsQueueFull)
 
 TEST(ServeSchedulerParallel, CancelledQueuedJobStillRunsItsCompletionPath)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 8;
     SchedulerHarness harness(options);
 
@@ -331,7 +321,8 @@ TEST(ServeSchedulerParallel, CancelledQueuedJobStillRunsItsCompletionPath)
 
 TEST(ServeSchedulerParallel, ExpiredDeadlineCancelsAtDispatch)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 8;
     SchedulerHarness harness(options);
 
@@ -375,7 +366,8 @@ TEST(ServeSchedulerParallel, ExpiredDeadlineCancelsAtDispatch)
 
 TEST(ServeSchedulerParallel, CancelReachesARunningJob)
 {
-    Scheduler::Options options = singleLaneOptions(2);
+    Scheduler::Options options;
+    options.numWorkers = 2;
     SchedulerHarness harness(options);
 
     std::atomic<bool> done{false};
@@ -398,7 +390,8 @@ TEST(ServeSchedulerParallel, CancelReachesARunningJob)
 
 TEST(ServeSchedulerParallel, DrainRejectsNewWorkAndCompletesQueued)
 {
-    Scheduler::Options options = singleLaneOptions(2);
+    Scheduler::Options options;
+    options.numWorkers = 2;
     options.maxQueued = 16;
     SchedulerHarness harness(options);
 
@@ -419,7 +412,8 @@ TEST(ServeSchedulerParallel, DrainRejectsNewWorkAndCompletesQueued)
 
 TEST(ServeSchedulerParallel, DrainWithCancelFlagsInFlightWithDrainReason)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     SchedulerHarness harness(options);
 
     std::atomic<int> reason{-1};
@@ -445,244 +439,30 @@ TEST(ServeSchedulerParallel, DrainWithCancelFlagsInFlightWithDrainReason)
     EXPECT_EQ(reason.load(), static_cast<int>(CancelReason::Drain));
 }
 
-// ---- Cross-request micro-batching. ----
-
-/**
- * Thread-safe recorder of the bare (payload-less) members of every
- * executor invocation; members carrying a Body (the gate) just run.
- */
-class BatchLog
+TEST(ServeSchedulerParallel, ClientOrderHoldsUnderDefaultOptions)
 {
-  public:
-    Scheduler::BatchFn
-    executor()
-    {
-        return [this](std::vector<Scheduler::BatchItem> &items) {
-            runBodies(items);
-            std::vector<std::uint64_t> ids;
-            std::vector<bool> cancelled;
-            for (const Scheduler::BatchItem &item : items) {
-                if (item.payload)
-                    continue;
-                ids.push_back(item.id);
-                cancelled.push_back(item.token.cancelled());
-            }
-            if (ids.empty())
-                return;
-            std::lock_guard<std::mutex> lock(mutex_);
-            batches_.push_back(std::move(ids));
-            cancelled_.push_back(std::move(cancelled));
-        };
-    }
-
-    std::vector<std::vector<std::uint64_t>>
-    batches()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return batches_;
-    }
-
-    std::vector<std::vector<bool>>
-    cancelledMasks()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return cancelled_;
-    }
-
-  private:
-    std::mutex mutex_;
-    std::vector<std::vector<std::uint64_t>> batches_;
-    std::vector<std::vector<bool>> cancelled_;
-};
-
-TEST(ServeSchedulerParallel, CompatibleJobsCoalesceIntoOneBatch)
-{
-    BatchLog log;
     Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchMaxLanes = 8;
-    SchedulerHarness harness(options, log.executor());
-
-    Gate gate;
-    harness.submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered(); // everything below queues behind the gate
-
-    for (int i = 0; i < 6; ++i) {
-        ASSERT_EQ(harness
-                      ->submit(static_cast<std::uint64_t>(10 + i),
-                               Lane::Batch, "c" + std::to_string(i % 3),
-                               /*batch_key=*/77, nullptr)
-                      .admission,
-                  Scheduler::Admission::Admitted);
-    }
-
-    gate.release();
-    harness.finish();
-
-    // All six compatible jobs ran as a single executor call.
-    const auto batches = log.batches();
-    ASSERT_EQ(batches.size(), 1u);
-    EXPECT_EQ(batches[0].size(), 6u);
-    const auto &stats = harness->stats();
-    EXPECT_EQ(readStat(stats, "serve.batch.batches"), 1.0);
-    EXPECT_EQ(readStat(stats, "serve.batch.batched_requests"), 6.0);
-    // the gate ran alone
-    EXPECT_EQ(readStat(stats, "serve.batch.scalar_fallbacks"), 1.0);
-    EXPECT_EQ(readStat(stats, "serve.batch.max_occupancy"), 6.0);
-    // gate + 6 members
-    EXPECT_EQ(readStat(stats, "serve.requests.completed"), 7.0);
-}
-
-TEST(ServeSchedulerParallel, BatchRespectsMaxLanesBound)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchMaxLanes = 4;
-    SchedulerHarness harness(options, log.executor());
+    options.numWorkers = 1; // every other field at its default
+    SchedulerHarness harness(options);
 
     Gate gate;
     harness.submit(1, Lane::Batch, "warm", gate.job());
     gate.waitEntered();
 
-    for (int i = 0; i < 10; ++i)
-        harness->submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
-                        "c", 77, nullptr);
+    OrderLog log;
+    for (int j = 1; j <= 3; ++j)
+        harness.submit(static_cast<std::uint64_t>(10 + j), Lane::Batch,
+                       "a", log.job(j));
 
     gate.release();
     harness.finish();
-
-    // 10 jobs, 4 lanes: no executor call may exceed the bound, and
-    // every job must run exactly once.
-    std::size_t total = 0;
-    for (const auto &batch : log.batches()) {
-        EXPECT_LE(batch.size(), 4u);
-        total += batch.size();
-    }
-    EXPECT_EQ(total, 10u);
-    EXPECT_EQ(readStat(harness->stats(), "serve.batch.max_occupancy"), 4.0);
-}
-
-TEST(ServeSchedulerParallel, MixedKeysNeverShareABatch)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    SchedulerHarness harness(options, log.executor());
-
-    Gate gate;
-    harness.submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered();
-
-    // Interleaved keys: 11,22,11,22,...
-    for (int i = 0; i < 8; ++i)
-        harness->submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
-                        "c", (i % 2 == 0) ? 11u : 22u, nullptr);
-
-    gate.release();
-    harness.finish();
-
-    // Jobs 10,12,14,16 carry key 11; 11,13,15,17 carry key 22. Every
-    // dispatched batch must be key-homogeneous.
-    for (const auto &batch : log.batches()) {
-        for (const std::uint64_t id : batch)
-            EXPECT_EQ(id % 2, batch.front() % 2) << "mixed-key batch";
-    }
-    const auto &stats = harness->stats();
-    // 8 members plus the gate, which ran alone.
-    EXPECT_EQ(readStat(stats, "serve.batch.batched_requests") +
-                  readStat(stats, "serve.batch.scalar_fallbacks"),
-              9.0);
-}
-
-TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchWindow = 250ms;
-    SchedulerHarness harness(options, log.executor());
-
-    // The seed dispatches alone into the window wait; the late arrival
-    // lands inside the window and must join the same batch. Poll the
-    // stat so the "late" submit provably happens inside the window.
-    harness->submit(1, Lane::Batch, "a", 77, nullptr);
-    while (readStat(harness->stats(), "serve.batch.window_waits") == 0.0)
-        std::this_thread::sleep_for(1ms);
-    harness->submit(2, Lane::Batch, "b", 77, nullptr);
-    harness.finish();
-
-    const auto batches = log.batches();
-    ASSERT_EQ(batches.size(), 1u);
-    EXPECT_EQ(batches[0].size(), 2u);
-    const auto &stats = harness->stats();
-    EXPECT_EQ(readStat(stats, "serve.batch.batches"), 1.0);
-    EXPECT_GE(readStat(stats, "serve.batch.window_waits"), 1.0);
-    EXPECT_GE(readTail(stats, "serve.batch.window_delay").count, 1u);
-}
-
-TEST(ServeSchedulerParallel, InteractiveSeedBypassesTheWindow)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchWindow = 10000ms; // would hang the test if waited on
-    SchedulerHarness harness(options, log.executor());
-
-    harness->submit(1, Lane::Interactive, "a", 77, nullptr);
-    harness.finish();
-
-    // The interactive seed dispatched immediately, alone, without ever
-    // opening the window.
-    const auto &stats = harness->stats();
-    EXPECT_EQ(readStat(stats, "serve.batch.window_waits"), 0.0);
-    EXPECT_EQ(readStat(stats, "serve.batch.scalar_fallbacks"), 1.0);
-    ASSERT_EQ(log.batches().size(), 1u);
-    EXPECT_EQ(log.batches()[0].size(), 1u);
-}
-
-TEST(ServeSchedulerParallel, CancelledMemberStaysInBatchAsMaskedLane)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    SchedulerHarness harness(options, log.executor());
-
-    Gate gate;
-    harness.submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered();
-
-    harness->submit(10, Lane::Batch, "a", 77, nullptr);
-    harness->submit(11, Lane::Batch, "b", 77, nullptr);
-    harness->submit(12, Lane::Batch, "c", 77, nullptr);
-    EXPECT_TRUE(harness->cancel(11, CancelReason::Client));
-
-    gate.release();
-    harness.finish();
-
-    // The cancelled member is still dispatched (the executor answers it
-    // with CANCELLED) and only its token reads cancelled.
-    const auto batches = log.batches();
-    const auto masks = log.cancelledMasks();
-    ASSERT_EQ(batches.size(), 1u);
-    ASSERT_EQ(batches[0].size(), 3u);
-    for (std::size_t i = 0; i < batches[0].size(); ++i)
-        EXPECT_EQ(masks[0][i], batches[0][i] == 11);
-    const auto &stats = harness->stats();
-    EXPECT_EQ(readStat(stats, "serve.requests.cancelled"), 1.0);
-    // gate + members 10 and 12
-    EXPECT_EQ(readStat(stats, "serve.requests.completed"), 3.0);
+    EXPECT_EQ(log.order(), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
 {
-    Scheduler::Options options = singleLaneOptions();
+    Scheduler::Options options;
+    options.numWorkers = 1;
     options.maxQueued = 64;
     SchedulerHarness harness(options);
 
@@ -709,34 +489,32 @@ TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
 
 TEST(ServeSchedulerParallel, DrainCompletesQueuedBatchableJobs)
 {
-    BatchLog log;
     Scheduler::Options options;
     options.numWorkers = 1;
     options.maxQueued = 64;
-    options.batchWindow = 10000ms;
-    SchedulerHarness harness(options, log.executor());
+    SchedulerHarness harness(options);
 
-    // An interactive gate: a batch-lane one would hold the window open.
     Gate gate;
     harness.submit(1, Lane::Interactive, "warm", gate.job());
     gate.waitEntered();
+    OrderLog log;
     for (int i = 0; i < 3; ++i)
-        harness->submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
-                        "c", 77, nullptr);
+        harness.submit(static_cast<std::uint64_t>(10 + i), Lane::Batch,
+                       "c", log.job(i));
+    // drain(false) while all three are still queued behind the gate:
+    // queued batch-lane work must still run.
+    harness->drain(false);
     gate.release();
-    harness.finish(); // drain(false): queued work must still run, and
-                      // the window must not hold the drain open
+    harness.finish();
 
-    std::size_t total = 0;
-    for (const auto &batch : log.batches())
-        total += batch.size();
-    EXPECT_EQ(total, 3u);
+    EXPECT_EQ(log.order(), (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(readStat(harness->stats(), "serve.queue.depth"), 0.0);
 }
 
 TEST(ServeSchedulerParallel, ConcurrentMixedClientsAllComplete)
 {
-    Scheduler::Options options = singleLaneOptions(4);
+    Scheduler::Options options;
+    options.numWorkers = 4;
     options.maxQueued = 256;
     SchedulerHarness harness(options);
 
