@@ -129,7 +129,7 @@ benchYearSlotLoop(benchmark::State &state, KernelMode mode)
                             static_cast<std::int64_t>(kSlotsPerDay));
     state.counters["slots_per_iter"] =
         static_cast<double>(kSlotsPerDay);
-    // Single-lane loop: aggregate == plain, reported so this benchmark
+    // One model: aggregate == plain, reported so this benchmark
     // can anchor --normalize-by for the ns_per_slot_aggregate gate too.
     state.counters["aggregate_slots_per_iter"] =
         static_cast<double>(kSlotsPerDay);
@@ -209,16 +209,16 @@ BM_CampaignStreaming(benchmark::State &state)
 }
 BENCHMARK(BM_CampaignStreaming)->Unit(benchmark::kMillisecond);
 
-// ---- Lane-batched sweep vs. one-campaign-per-thread (the ----
-// ---- acceptance metric of the lane-batch engine).         ----
+// ---- Campaign sweep with and without a shared SetupCache. ----
+// The CI perf gate filters on the BM_LaneBatch* row names and the
+// committed baseline keys on them, so they stay as they are.
 
 /**
- * A sensitivity-sweep shaped batch: one seed (so members share a
- * workload fingerprint), myopic thresholds x battery capacities. Both
- * execution models run the same specs pinned to two pool threads --
- * enough to exercise group parallelism while keeping the aggregate
- * throughput ratio a property of the execution model rather than of
- * however many cores the measuring machine has.
+ * A sensitivity-sweep shaped batch: one seed (so members share traces
+ * and scale factor), myopic thresholds x battery capacities. Both legs
+ * run every member with Simulation::run on the pool, pinned to two
+ * threads so the ratio between them is a property of set-up sharing
+ * rather than of however many cores the measuring machine has.
  */
 std::vector<benchutil::CampaignSpec>
 sweepSpecs(std::size_t members, double days)
@@ -247,14 +247,14 @@ sweepSpecs(std::size_t members, double days)
 }
 
 void
-benchSweep(benchmark::State &state, bool lane_batched)
+benchSweep(benchmark::State &state, bool shared_setup)
 {
     util::ThreadPool::setGlobalThreads(2);
     constexpr std::size_t kMembers = 16;
     constexpr double kDays = 2.0;
     const auto specs = sweepSpecs(kMembers, kDays);
     for (auto _ : state) {
-        auto results = lane_batched
+        auto results = shared_setup
                            ? benchutil::runCampaigns(specs)
                            : benchutil::runCampaignsPerThread(specs);
         benchmark::DoNotOptimize(results.data());
@@ -274,17 +274,19 @@ benchSweep(benchmark::State &state, bool lane_batched)
 void
 BM_LaneBatchSweepPerThread(benchmark::State &state)
 {
-    benchSweep(state, /*lane_batched=*/false);
+    benchSweep(state, /*shared_setup=*/false);
 }
 BENCHMARK(BM_LaneBatchSweepPerThread)->Unit(benchmark::kMillisecond);
 
 void
 BM_LaneBatchSweep(benchmark::State &state)
 {
-    benchSweep(state, /*lane_batched=*/true);
+    benchSweep(state, /*shared_setup=*/true);
 }
 BENCHMARK(BM_LaneBatchSweep)->Unit(benchmark::kMillisecond);
 
+/** A warm 16-site fleet advanced in 30-minute chunks on two threads:
+ * the per-chunk cost of FleetSimulation::run's pool fan-out. */
 void
 BM_LaneBatchFleet(benchmark::State &state)
 {
@@ -421,7 +423,7 @@ class PerfJsonReporter : public benchmark::ConsoleReporter
             // Hardware-comparable per-slot costs for slot-loop benches:
             // tools/bench_compare.py gates regressions on these derived
             // counters (ns_per_slot_aggregate spreads the wall time over
-            // every lane-batched campaign's slots).
+            // every member's slots in a multi-member benchmark).
             const std::size_t present = collected.counters.size();
             for (std::size_t c = 0; c < present; ++c) {
                 const auto &[counter_name, value] = collected.counters[c];

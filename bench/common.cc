@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "core/lane_batch.hh"
 #include "core/setup_cache.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -94,6 +93,26 @@ summarizeCampaign(const core::Simulation &sim, const std::string &label,
     return result;
 }
 
+/** Run every spec as its own Simulation on the pool; members whose
+ * config names no setup cache use `cache` (null: a private one each). */
+std::vector<CampaignResult>
+runBatch(const std::vector<CampaignSpec> &specs,
+         const std::shared_ptr<core::SetupCache> &cache)
+{
+    std::vector<CampaignResult> results(specs.size());
+    util::parallelFor(0, specs.size(), [&](std::size_t k) {
+        const CampaignSpec &spec = specs[k];
+        ECOLO_ASSERT(spec.makePolicy != nullptr,
+                     "campaign spec without a policy factory");
+        core::SimulationConfig config = spec.config;
+        if (!config.setupCache)
+            config.setupCache = cache;
+        results[k] = runCampaign(config, spec.makePolicy(config),
+                                 spec.days, spec.label, spec.parameter);
+    });
+    return results;
+}
+
 } // namespace
 
 CampaignResult
@@ -114,54 +133,16 @@ runCampaigns(const std::vector<CampaignSpec> &specs)
 {
     // Setup (trace synthesis, Prony fits, factorization) dominates short
     // campaigns, and sweep members mostly share it: one cache serves the
-    // whole batch. Construction still fans out across the pool -- the
-    // cache computes outside its lock and keeps the first-inserted
-    // artifact, so the shared values are deterministic either way.
-    auto cache = std::make_shared<core::SetupCache>();
-    std::vector<std::unique_ptr<core::Simulation>> sims(specs.size());
-    util::parallelFor(0, specs.size(), [&](std::size_t k) {
-        const CampaignSpec &spec = specs[k];
-        ECOLO_ASSERT(spec.makePolicy != nullptr,
-                     "campaign spec without a policy factory");
-        telemetry::TraceSpan span(telemetry::enabled()
-                                      ? "bench.campaign:" + spec.label
-                                      : std::string());
-        core::SimulationConfig config = spec.config;
-        if (!config.setupCache)
-            config.setupCache = cache;
-        sims[k] = std::make_unique<core::Simulation>(
-            config, spec.makePolicy(config));
-    });
-
-    core::LaneBatchRunner runner;
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-        runner.add(*sims[k],
-                   static_cast<MinuteIndex>(
-                       specs[k].days *
-                       static_cast<double>(kMinutesPerDay)));
-    }
-    runner.runAll();
-
-    std::vector<CampaignResult> results(specs.size());
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-        results[k] = summarizeCampaign(*sims[k], specs[k].label,
-                                       specs[k].parameter);
-    }
-    return results;
+    // whole batch. The cache computes outside its lock and keeps the
+    // first-inserted artifact, so the shared values are deterministic
+    // whichever member builds them.
+    return runBatch(specs, std::make_shared<core::SetupCache>());
 }
 
 std::vector<CampaignResult>
 runCampaignsPerThread(const std::vector<CampaignSpec> &specs)
 {
-    std::vector<CampaignResult> results(specs.size());
-    util::parallelFor(0, specs.size(), [&](std::size_t k) {
-        const CampaignSpec &spec = specs[k];
-        ECOLO_ASSERT(spec.makePolicy != nullptr,
-                     "campaign spec without a policy factory");
-        results[k] = runCampaign(spec.config, spec.makePolicy(spec.config),
-                                 spec.days, spec.label, spec.parameter);
-    });
-    return results;
+    return runBatch(specs, nullptr);
 }
 
 std::vector<core::MinuteRecord>

@@ -56,21 +56,18 @@ struct CampaignSpec
 
 /**
  * Run a batch of independent campaigns and return their results in spec
- * order. Campaigns execute through the lane-batched engine
- * (core/lane_batch.hh): setup artifacts (traces, Prony fits,
- * factorizations) are shared through one SetupCache, and compatible
- * campaigns advance together in SIMD lane groups on the global thread
- * pool. Per campaign the result is bit-identical to calling runCampaign
- * serially on each spec (the runner's tested contract).
+ * order. Each campaign is one Simulation run on the global thread pool;
+ * setup artifacts (traces, Prony fits, factorizations) are shared
+ * through one SetupCache. Per campaign the result is bit-identical to
+ * calling runCampaign serially on each spec.
  */
 std::vector<CampaignResult>
 runCampaigns(const std::vector<CampaignSpec> &specs);
 
 /**
- * The pre-lane-batching execution model: one simulation per pool
- * worker, no setup sharing. Kept as the measured baseline leg of the
- * BM_LaneBatchSweep* benchmarks; results are bit-identical to
- * runCampaigns on the same specs.
+ * runCampaigns without the shared SetupCache: every campaign builds its
+ * own setup. The baseline leg of the BM_LaneBatchSweep* benchmarks,
+ * which isolates what set-up sharing buys; results are bit-identical.
  */
 std::vector<CampaignResult>
 runCampaignsPerThread(const std::vector<CampaignSpec> &specs);

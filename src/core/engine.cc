@@ -185,9 +185,6 @@ Simulation::buildTenants()
                                      solve);
     for (std::size_t k = 0; k < benignTenants_.size(); ++k)
         benignTenants_[k].setTrace(tenant_trace(k), factor);
-
-    workloadFingerprint_ =
-        external ? 0 : SetupCache::scaleFactorKey(config_);
 }
 
 Kilowatts
@@ -200,8 +197,7 @@ Simulation::benignActualPower() const
 }
 
 AttackObservation
-Simulation::makeObservation(bool capping, bool outage,
-                            const Kilowatts *benign_actual_override)
+Simulation::makeObservation(bool capping, bool outage)
 {
     AttackObservation obs;
     obs.time = now_;
@@ -217,12 +213,8 @@ Simulation::makeObservation(bool capping, bool outage,
         // terms of "benign load + my subscription" as in the paper. The
         // channel averages the per-minute ripple samples into the
         // engine-owned scratch (sized once; the slot loop allocates
-        // nothing afterwards). A lane group's leader may pass in the
-        // shared benign aggregate (bitwise equal to what this lane would
-        // compute; see SharedBenignSlot).
-        const Kilowatts benign_actual = benign_actual_override != nullptr
-                                            ? *benign_actual_override
-                                            : benignActualPower();
+        // nothing afterwards).
+        const Kilowatts benign_actual = benignActualPower();
         Kilowatts estimate(0.0);
         {
             telemetry::TraceSpan span("engine.sidechannel");
@@ -267,7 +259,7 @@ Simulation::makeObservation(bool capping, bool outage,
 }
 
 void
-Simulation::slotBegin(SlotContext &ctx)
+Simulation::stepMinute()
 {
     // ---- 0. Fault injection (skipped entirely on healthy configs). ----
     if (faultsEnabled_) {
@@ -286,49 +278,30 @@ Simulation::slotBegin(SlotContext &ctx)
         }
     }
 
-    ctx.capping = command_.capServers;
-    ctx.outage = command_.outage;
+    // The command in force this minute; step 6b replaces command_ with
+    // next minute's, so everything recorded in step 8 is read here.
+    const bool capping = command_.capServers;
+    const bool outage = command_.outage;
     // Degraded-mode preventive capping (operator fault response) caps at
     // its own level when no emergency cap is in force.
     const bool preventive =
-        !ctx.capping && command_.preventiveCapLevel.has_value();
-    ctx.anyCap = ctx.capping || preventive;
-    ctx.capLevel =
-        ctx.capping
+        !capping && command_.preventiveCapLevel.has_value();
+    const bool any_cap = capping || preventive;
+    const Kilowatts cap_level =
+        capping
             ? command_.capLevel.value_or(config_.perServerCap)
             : command_.preventiveCapLevel.value_or(config_.perServerCap);
-    ctx.degradedNow = command_.degraded;
-    ctx.shedFraction = command_.shedFraction;
+    const bool degraded_now = command_.degraded;
+    const double shed_fraction = command_.shedFraction;
 
-    if (telemetry::enabled() && ctx.anyCap != prevAnyCap_) {
+    if (telemetry::enabled() && any_cap != prevAnyCap_) {
         telemetry::emitEvent(now_,
-                             ctx.anyCap
-                                 ? telemetry::EventKind::CappingStart
-                                 : telemetry::EventKind::CappingEnd,
-                             ctx.anyCap ? ctx.capLevel.value() : 0.0);
-        prevAnyCap_ = ctx.anyCap;
+                             any_cap ? telemetry::EventKind::CappingStart
+                                     : telemetry::EventKind::CappingEnd,
+                             any_cap ? cap_level.value() : 0.0);
+        prevAnyCap_ = any_cap;
     }
-}
 
-bool
-Simulation::slotBenignUniform(const SlotContext &ctx) const
-{
-    if (ctx.anyCap || ctx.outage)
-        return false;
-    if (faultsEnabled_ &&
-        (faultsNow_.traceGap || faultsNow_.failedServers > 0))
-        return false;
-    // Mirror the workload phase's shed computation exactly: a fraction
-    // small enough to shed zero servers leaves the slot uniform.
-    const std::size_t num_benign = config_.numBenignServers();
-    const std::size_t shed = static_cast<std::size_t>(
-        ctx.shedFraction * static_cast<double>(num_benign));
-    return shed == 0;
-}
-
-void
-Simulation::slotWorkloadBenign(const SlotContext &ctx)
-{
     // ---- 1. Benign tenants follow their traces; operator commands. ----
     // A trace-gap fault freezes the telemetry feed: tenants keep replaying
     // the last pre-gap minute instead of dying on missing data.
@@ -338,9 +311,9 @@ Simulation::slotWorkloadBenign(const SlotContext &ctx)
             : now_;
     for (auto &tenant : benignTenants_) {
         tenant.applyTraceAt(trace_minute);
-        tenant.setPoweredOn(!ctx.outage);
-        if (ctx.anyCap)
-            tenant.setPerServerCap(ctx.capLevel);
+        tenant.setPoweredOn(!outage);
+        if (any_cap)
+            tenant.setPerServerCap(cap_level);
         else
             tenant.clearCaps();
     }
@@ -348,10 +321,10 @@ Simulation::slotWorkloadBenign(const SlotContext &ctx)
     // Hard server failures (fault) and commanded partial shutdown
     // (degraded-mode response) power off benign servers from the back of
     // the bank; both are zero on healthy runs.
-    if (!ctx.outage) {
+    if (!outage) {
         const std::size_t num_benign = config_.numBenignServers();
         const std::size_t shed = static_cast<std::size_t>(
-            ctx.shedFraction * static_cast<double>(num_benign));
+            shed_fraction * static_cast<double>(num_benign));
         const std::size_t failed =
             faultsEnabled_ ? faultsNow_.failedServers : 0;
         std::size_t remaining = std::min(num_benign, shed + failed);
@@ -365,64 +338,51 @@ Simulation::slotWorkloadBenign(const SlotContext &ctx)
             }
         }
     }
-}
 
-void
-Simulation::slotWorkloadAttacker(const SlotContext &ctx)
-{
-    attackerTenant_.setPoweredOn(!ctx.outage);
-    if (ctx.anyCap)
-        attackerTenant_.setPerServerCap(ctx.capLevel);
+    attackerTenant_.setPoweredOn(!outage);
+    if (any_cap)
+        attackerTenant_.setPerServerCap(cap_level);
     else
         attackerTenant_.clearCaps();
-}
 
-void
-Simulation::slotObserveDecide(SlotContext &ctx,
-                              const Kilowatts *shared_benign_actual)
-{
     // ---- 2. Observation, learning feedback, day boundary. ----
-    ctx.obs = makeObservation(ctx.anyCap, ctx.outage,
-                              shared_benign_actual);
+    const AttackObservation obs = makeObservation(any_cap, outage);
     if (havePending_)
-        policy_->feedback(lastObs_, lastAction_, ctx.obs);
+        policy_->feedback(lastObs_, lastAction_, obs);
     if (now_ > 0 && now_ % kMinutesPerDay == 0)
         policy_->onDayBoundary(dayIndex(now_));
 
     // ---- 3. Decide and enforce protocol compliance. ----
+    AttackAction action = AttackAction::Standby;
     {
         telemetry::TraceSpan span("engine.policy_decide");
-        ctx.action = policy_->decide(ctx.obs);
+        action = policy_->decide(obs);
     }
-    if (ctx.outage) {
-        ctx.action = AttackAction::Standby;
-    } else if (ctx.anyCap && !policy_->ignoresCapping() &&
-               ctx.action == AttackAction::Attack) {
-        ctx.action = ctx.obs.batterySoc < 1.0 ? AttackAction::Charge
-                                              : AttackAction::Standby;
+    if (outage) {
+        action = AttackAction::Standby;
+    } else if (any_cap && !policy_->ignoresCapping() &&
+               action == AttackAction::Attack) {
+        action = obs.batterySoc < 1.0 ? AttackAction::Charge
+                                      : AttackAction::Standby;
     }
-}
 
-void
-Simulation::slotAttackerSupply(SlotContext &ctx)
-{
     // ---- 4. Attacker power execution. ----
     // A BMS cutout isolates the battery: neither discharging (the attack
     // fizzles at the grid cap) nor charging is possible.
     const bool bms_cutout = faultsEnabled_ && faultsNow_.bmsCutout;
-    ctx.supply = battery::SupplyResult{Kilowatts(0.0), Kilowatts(0.0),
-                                       Kilowatts(0.0)};
-    if (!ctx.outage) {
+    battery::SupplyResult supply{Kilowatts(0.0), Kilowatts(0.0),
+                                 Kilowatts(0.0)};
+    if (!outage) {
         std::optional<Kilowatts> grid_limit;
-        if (ctx.anyCap)
-            grid_limit = ctx.capLevel *
+        if (any_cap)
+            grid_limit = cap_level *
                          static_cast<double>(config_.attackerNumServers);
-        switch (ctx.action) {
+        switch (action) {
           case AttackAction::Attack: {
             attackerTenant_.setUtilization(1.0);
             const Kilowatts demand =
                 config_.attackerSubscription + config_.attackLoad;
-            ctx.supply = attackerSupply_.step(
+            supply = attackerSupply_.step(
                 demand,
                 bms_cutout ? battery::SupplyMode::GridOnly
                            : battery::SupplyMode::DischargeBattery,
@@ -432,7 +392,7 @@ Simulation::slotAttackerSupply(SlotContext &ctx)
           case AttackAction::Charge: {
             attackerTenant_.setUtilization(
                 config_.attackerStandbyUtilization);
-            ctx.supply = attackerSupply_.step(
+            supply = attackerSupply_.step(
                 attackerTenant_.actualPower(),
                 bms_cutout ? battery::SupplyMode::GridOnly
                            : battery::SupplyMode::ChargeBattery,
@@ -442,90 +402,55 @@ Simulation::slotAttackerSupply(SlotContext &ctx)
           case AttackAction::Standby: {
             attackerTenant_.setUtilization(
                 config_.attackerStandbyUtilization);
-            ctx.supply = attackerSupply_.step(
+            supply = attackerSupply_.step(
                 attackerTenant_.actualPower(),
                 battery::SupplyMode::GridOnly, minutes(1), grid_limit);
             break;
           }
         }
     }
-}
 
-void
-Simulation::slotHeatAndMeter(SlotContext &ctx,
-                             const SharedBenignSlot *shared)
-{
     // ---- 5. Per-server heat and metering. ----
     const std::size_t n_attacker = config_.attackerNumServers;
     const Kilowatts attacker_heat_per_server =
-        ctx.supply.serverPower / static_cast<double>(n_attacker);
+        supply.serverPower / static_cast<double>(n_attacker);
     const Kilowatts attacker_grid_per_server =
-        ctx.supply.gridPower / static_cast<double>(n_attacker);
+        supply.gridPower / static_cast<double>(n_attacker);
     std::size_t server = 0;
     for (; server < n_attacker; ++server) {
         lastHeat_[server] = attacker_heat_per_server;
         lastMetered_[server] = attacker_grid_per_server;
     }
     Kilowatts benign_total(0.0);
-    if (shared != nullptr) {
-        // Follower lane of a uniform slot: the leader's harvested values
-        // are bitwise what the loop below would recompute.
-        const std::size_t num_benign = config_.numBenignServers();
-        for (std::size_t i = 0; i < num_benign; ++i, ++server) {
-            const Kilowatts p(shared->serverKw[i]);
+    for (const auto &tenant : benignTenants_) {
+        for (const auto &srv : tenant.servers()) {
+            const Kilowatts p = srv.actualPower();
             lastHeat_[server] = p;
             lastMetered_[server] = p;
-        }
-        benign_total = shared->flatTotal;
-    } else {
-        for (const auto &tenant : benignTenants_) {
-            for (const auto &srv : tenant.servers()) {
-                const Kilowatts p = srv.actualPower();
-                lastHeat_[server] = p;
-                lastMetered_[server] = p;
-                benign_total += p;
-                ++server;
-            }
+            benign_total += p;
+            ++server;
         }
     }
     ECOLO_ASSERT(server == config_.numServers(),
                  "server heat vector not fully populated");
 
-    pdu_.setEnergized(!ctx.outage);
-    pdu_.setCircuitDraw(0, ctx.supply.gridPower);
+    pdu_.setEnergized(!outage);
+    pdu_.setCircuitDraw(0, supply.gridPower);
     for (std::size_t k = 0; k < benignTenants_.size(); ++k)
-        pdu_.setCircuitDraw(k + 1,
-                            shared != nullptr
-                                ? shared->tenantKw[k]
-                                : benignTenants_[k].actualPower());
-    ctx.benignTotal = benign_total;
-    ctx.meteredTotal = pdu_.totalMeteredPower();
-}
+        pdu_.setCircuitDraw(k + 1, benignTenants_[k].actualPower());
+    const Kilowatts metered_total = pdu_.totalMeteredPower();
 
-void
-Simulation::slotThermal()
-{
     // ---- 6a. Thermal step. ----
-    telemetry::TraceSpan span("engine.thermal_step");
-    thermal_.stepMinute(lastHeat_);
-}
+    {
+        telemetry::TraceSpan span("engine.thermal_step");
+        thermal_.stepMinute(lastHeat_);
+    }
 
-void
-Simulation::slotThermalFromBank(const double *rises, std::size_t stride)
-{
-    telemetry::TraceSpan span("engine.thermal_step");
-    thermal_.applyLaneStep(lastHeat_, rises, stride);
-}
-
-void
-Simulation::slotOperatorReact(SlotContext &ctx)
-{
     // ---- 6b. Operator reaction. ----
     // The attacker's batteries breathe the data center air; with a
     // thermally-aware battery spec this derates their usable capacity.
     attackerSupply_.battery().setAmbient(thermal_.inletTemperature(0));
-    ctx.maxInlet = thermal_.maxInletTemperature();
-    const Celsius max_inlet = ctx.maxInlet;
+    const Celsius max_inlet = thermal_.maxInletTemperature();
     // The operator trips on its own (possibly noisy) sensors; with noise
     // configured, occasional spurious emergencies occur even without an
     // attack -- the statistics the paper notes an attacker could hide
@@ -607,20 +532,16 @@ Simulation::slotOperatorReact(SlotContext &ctx)
 
         auto &reg = telemetry::registry();
         reg.counter("engine.minutes").inc();
-        if (ctx.anyCap)
+        if (any_cap)
             reg.counter("engine.capping.minutes").inc();
-        if (ctx.action == AttackAction::Attack)
+        if (action == AttackAction::Attack)
             reg.counter("engine.attack.minutes").inc();
         reg.gauge("engine.inlet.max_c").set(max_inlet.value());
         reg.gauge("battery.soc").set(soc);
     }
-}
 
-void
-Simulation::slotFinish(const SlotContext &ctx)
-{
     // ---- 7. Performance accounting during capped minutes. ----
-    if (ctx.anyCap && !ctx.outage) {
+    if (any_cap && !outage) {
         double sum = 0.0;
         for (std::size_t k = 0; k < benignTenants_.size(); ++k) {
             const auto &tenant = benignTenants_[k];
@@ -641,7 +562,7 @@ Simulation::slotFinish(const SlotContext &ctx)
     // ---- 8. Record the minute. ----
     MinuteRecord record;
     record.time = now_;
-    record.meteredTotal = ctx.meteredTotal;
+    record.meteredTotal = metered_total;
     record.actualHeat = [&] {
         Kilowatts total(0.0);
         for (Kilowatts h : lastHeat_)
@@ -649,82 +570,26 @@ Simulation::slotFinish(const SlotContext &ctx)
         return total;
     }();
     record.attackBatteryPower =
-        std::max(Kilowatts(0.0), ctx.supply.batteryPower);
-    record.benignPower = ctx.benignTotal;
-    record.maxInlet = ctx.maxInlet;
+        std::max(Kilowatts(0.0), supply.batteryPower);
+    record.benignPower = benign_total;
+    record.maxInlet = max_inlet;
     record.supply = thermal_.supplyTemperature();
     record.batterySoc = attackerSupply_.battery().soc();
-    record.action = ctx.action;
-    record.cappingActive = ctx.capping;
-    record.outage = ctx.outage;
-    record.degraded = ctx.degradedNow;
-    record.shedFraction = ctx.shedFraction;
-    record.estimateStale = ctx.obs.estimateStale;
+    record.action = action;
+    record.cappingActive = capping;
+    record.outage = outage;
+    record.degraded = degraded_now;
+    record.shedFraction = shed_fraction;
+    record.estimateStale = obs.estimateStale;
     metrics_.recordMinute(record, config_.cooling.supplySetPoint,
                           thermal_.meanInletTemperature());
     if (callback_)
         callback_(record);
 
-    lastObs_ = ctx.obs;
-    lastAction_ = ctx.action;
+    lastObs_ = obs;
+    lastAction_ = action;
     havePending_ = true;
     ++now_;
-}
-
-void
-Simulation::harvestSharedBenign(SharedBenignSlot &out) const
-{
-    std::size_t idx = 0;
-    Kilowatts tenant_total(0.0);
-    Kilowatts flat_total(0.0);
-    for (std::size_t k = 0; k < benignTenants_.size(); ++k) {
-        const auto &tenant = benignTenants_[k];
-        Kilowatts tenant_kw(0.0);
-        for (const auto &srv : tenant.servers()) {
-            const Kilowatts p = srv.actualPower();
-            out.serverKw[idx++] = p.value();
-            tenant_kw += p;    // Tenant::actualPower's chain
-            flat_total += p;   // the heat phase's flat chain
-        }
-        out.tenantKw[k] = tenant_kw;
-        tenant_total += tenant_kw; // benignActualPower's chain
-    }
-    out.tenantTotal = tenant_total;
-    out.flatTotal = flat_total;
-}
-
-void
-Simulation::restoreBenignWorkload()
-{
-    if (now_ <= 0)
-        return;
-    // The workload phase of a uniform slot is exactly this (trace at the
-    // slot's minute, powered on, caps clear), so re-deriving it for the
-    // last simulated minute reproduces the skipped phases' net effect.
-    const MinuteIndex trace_minute = now_ - 1;
-    for (auto &tenant : benignTenants_) {
-        tenant.applyTraceAt(trace_minute);
-        tenant.setPoweredOn(true);
-        tenant.clearCaps();
-    }
-}
-
-void
-Simulation::stepMinute()
-{
-    // The scalar step: the phases in their original order. The lane
-    // runner calls these same methods (interleaved across lanes), which
-    // is what keeps the two execution paths bit-identical.
-    SlotContext ctx;
-    slotBegin(ctx);
-    slotWorkloadBenign(ctx);
-    slotWorkloadAttacker(ctx);
-    slotObserveDecide(ctx, nullptr);
-    slotAttackerSupply(ctx);
-    slotHeatAndMeter(ctx, nullptr);
-    slotThermal();
-    slotOperatorReact(ctx);
-    slotFinish(ctx);
 }
 
 void

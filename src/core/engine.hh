@@ -34,26 +34,6 @@
 
 namespace ecolo::core {
 
-class LaneBatchRunner;
-
-/**
- * One slot's shared benign-workload products, harvested once by a lane
- * group's leader and consumed by every follower lane (see
- * core/lane_batch.hh). Each field preserves the exact accumulation
- * association of the scalar consumer it substitutes for: tenantKw[k]
- * matches Tenant::actualPower's per-server chain, tenantTotal matches
- * benignActualPower's per-tenant chain, and flatTotal matches the heat
- * phase's single flat chain over all benign servers -- so shared values
- * are bitwise what each follower would have computed itself.
- */
-struct SharedBenignSlot
-{
-    std::vector<double> serverKw;    //!< per benign server, global order
-    std::vector<Kilowatts> tenantKw; //!< per-tenant actualPower sums
-    Kilowatts tenantTotal{0.0};      //!< chain over tenantKw (observation)
-    Kilowatts flatTotal{0.0};        //!< flat chain over benign servers
-};
-
 /** One configured run of the edge colocation under a given attack policy. */
 class Simulation
 {
@@ -127,79 +107,18 @@ class Simulation
     void loadState(util::StateReader &reader);
 
   private:
-    // The lane-batch runner drives the per-slot phases below directly
-    // (interleaving them across lanes) instead of going through
-    // stepMinute; it also reads the workload fingerprint and the
-    // thermal environment for packing.
-    friend class LaneBatchRunner;
-
-    /**
-     * The locals of one stepMinute invocation, threaded through the
-     * slot phases so the step can be decomposed (stepMinute) or
-     * interleaved across lanes (LaneBatchRunner) with identical
-     * behavior. Plain data; resetting and copying never allocates.
-     */
-    struct SlotContext
-    {
-        bool capping = false; //!< emergency capping in force
-        bool outage = false;
-        bool anyCap = false; //!< emergency or preventive capping
-        Kilowatts capLevel{0.0};
-        bool degradedNow = false;
-        double shedFraction = 0.0;
-        AttackObservation obs;
-        AttackAction action = AttackAction::Standby;
-        battery::SupplyResult supply{Kilowatts(0.0), Kilowatts(0.0),
-                                     Kilowatts(0.0)};
-        Kilowatts benignTotal{0.0};
-        Kilowatts meteredTotal{0.0};
-        Celsius maxInlet{0.0};
-    };
-
     /** Thermal environment for the config, built from config.setupCache's
      * shared matrix and factorization. */
     static thermal::ThermalEnvironment
     makeThermalEnvironment(const SimulationConfig &config,
                            const power::DataCenterLayout &layout);
 
-    // ---- The per-minute step, split into phases. stepMinute calls them
-    // in order; LaneBatchRunner calls the same methods per lane (the two
-    // paths share every instruction, which is what makes lane execution
-    // bit-identical). See stepMinute for the phase numbering.
-    void slotBegin(SlotContext &ctx);
-    /** True when this slot's benign-workload phase is a pure function of
-     * the shared traces (no capping/outage/shed/failures/trace gap), so
-     * a fingerprint-equal lane's results can be reused. */
-    bool slotBenignUniform(const SlotContext &ctx) const;
-    void slotWorkloadBenign(const SlotContext &ctx);
-    void slotWorkloadAttacker(const SlotContext &ctx);
-    void slotObserveDecide(SlotContext &ctx,
-                           const Kilowatts *shared_benign_actual);
-    void slotAttackerSupply(SlotContext &ctx);
-    void slotHeatAndMeter(SlotContext &ctx, const SharedBenignSlot *shared);
-    void slotThermal();
-    /** Thermal phase when a LaneThermalBank advanced the matrix model:
-     * apply the bank's (bit-identical) rises for this lane. */
-    void slotThermalFromBank(const double *rises, std::size_t stride);
-    void slotOperatorReact(SlotContext &ctx);
-    void slotFinish(const SlotContext &ctx);
-
-    /** Compute the shared products of a just-run benign workload phase
-     * (group leader only; out's vectors must be pre-sized). */
-    void harvestSharedBenign(SharedBenignSlot &out) const;
-    /** Re-derive the benign servers' state for the last simulated minute
-     * after follower slots skipped the workload phase (only ever called
-     * when every skipped slot was uniform: trace applied, powered on,
-     * caps clear). */
-    void restoreBenignWorkload();
-
     void buildTenants();
+    /** Advance one minute: the engine's only slot loop body. */
     void stepMinute();
     void applyFaultsForMinute();
     Kilowatts benignActualPower() const;
-    AttackObservation makeObservation(
-        bool capping, bool outage,
-        const Kilowatts *benign_actual_override = nullptr);
+    AttackObservation makeObservation(bool capping, bool outage);
 
     SimulationConfig config_;
     power::DataCenterLayout layout_;
@@ -225,11 +144,6 @@ class Simulation
     /** True when the config carries a non-empty fault schedule; with an
      * empty schedule every fault hook is skipped (bit-identical runs). */
     bool faultsEnabled_ = false;
-    /** Hash of everything the benign workload phase is a function of
-     * (seed, generator kind/params, scaling inputs); equal fingerprints
-     * mean identical scaled traces and tenant structure. 0 = external
-     * traces, never shareable. */
-    std::uint64_t workloadFingerprint_ = 0;
     faults::ActiveFaults faultsNow_;
     /** Last non-NaN side-channel estimate (sensor-fault fallback). */
     Kilowatts lastValidEstimate_{0.0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <memory>
 
 #include "core/setup_cache.hh"
@@ -53,41 +52,23 @@ FleetSimulation::run(MinuteIndex minutes)
     const auto span = static_cast<std::size_t>(minutes);
 
     // Sites share no mutable state (each has its own traces, thermal
-    // history and pre-forked RNG streams) but identical thermal geometry,
-    // so the lane-batch runner packs several of them into one SoA thermal
-    // bank per group and the groups advance in parallel. Per site the
-    // result is bit-identical to running it alone (the runner's core
-    // contract); the slot hook records each site's per-minute outage flag
-    // into its own pre-sized scratch row, and the serial aggregation
-    // below then walks minutes in order, exactly as before. The scratch
-    // rows persist across calls; assign() only reallocates when a call
-    // spans more minutes than any before it.
+    // history and pre-forked RNG streams), so they advance in parallel,
+    // each recording its per-minute outage flag into its own pre-sized
+    // scratch row; the serial aggregation below then walks minutes in
+    // order. The rows persist across calls (assign() only reallocates
+    // when a call spans more minutes than any before it), and the pool
+    // body's two captured words fit std::function's inline buffer.
     downScratch_.resize(num_sites);
     for (auto &row : downScratch_)
         row.assign(span, 0);
-    if (!runner_) {
-        // Groups sized so their count still saturates the pool: with
-        // few sites per thread, lanes-per-group drops toward 1 and the
-        // layout degenerates to the old site-per-thread sweep.
-        LaneBatchOptions options;
-        const std::size_t threads =
-            util::ThreadPool::global().numThreads();
-        options.lanesPerGroup = std::clamp<std::size_t>(
-            num_sites / std::max<std::size_t>(threads, 1), 1,
-            thermal::LaneThermalBank::kLanes);
-        runner_ = std::make_unique<LaneBatchRunner>(options);
-        for (auto &site : sites_) {
-            // Sites run open-ended; each run() chunk advances them.
-            runner_->add(*site,
-                         std::numeric_limits<MinuteIndex>::max() / 2);
+    util::parallelFor(0, num_sites, [this, span](std::size_t s) {
+        Simulation &site = *sites_[s];
+        for (std::size_t m = 0; m < span; ++m) {
+            site.run(1);
+            downScratch_[s][m] =
+                site.coloOperator().state() == OperatorState::Outage;
         }
-        runner_->setSlotHook([this](std::size_t lane, MinuteIndex m) {
-            downScratch_[lane][static_cast<std::size_t>(m)] =
-                sites_[lane]->coloOperator().state() ==
-                OperatorState::Outage;
-        });
-    }
-    runner_->run(minutes);
+    });
 
     for (std::size_t m = 0; m < span; ++m) {
         ++now_;

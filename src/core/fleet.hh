@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/engine.hh"
-#include "core/lane_batch.hh"
 #include "core/version.hh"
 #include "util/result.hh"
 #include "util/state_io.hh"
@@ -62,11 +61,10 @@ class FleetSimulation
                     MinuteIndex strike_minute, Kilowatts strike_threshold);
 
     /**
-     * Advance every site by the given number of minutes. Sites are
-     * packed into SIMD lane groups (core/lane_batch.hh) that run
-     * concurrently on the global thread pool -- one SoA thermal pass
-     * advances several sites at once -- and the outcome is bit-identical
-     * to a serial minute-by-minute sweep.
+     * Advance every site by the given number of minutes. Sites run
+     * concurrently on the global thread pool, each by its own
+     * Simulation::run, and the outcome is bit-identical to a serial
+     * minute-by-minute sweep.
      */
     void run(MinuteIndex minutes);
 
@@ -124,12 +122,6 @@ class FleetSimulation
      * nothing per chunk once warm.
      */
     std::vector<std::vector<unsigned char>> downScratch_;
-    /**
-     * Lane-batch executor, built lazily on the first run() so its group
-     * sizing can see the thread pool actually in use. Site index ==
-     * lane id (add order), which the outage slot hook relies on.
-     */
-    std::unique_ptr<LaneBatchRunner> runner_;
 };
 
 } // namespace ecolo::core

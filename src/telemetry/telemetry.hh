@@ -65,8 +65,8 @@ void setEnabled(bool on);
 Registry &registry();
 /**
  * The edgetherm-metrics-v1 document of one component: its own
- * registries, then the process registry (engine.*, lanebatch.*,
- * profile.*), merged by name. The component's stats win a name clash.
+ * registries, then the process registry (engine.*, profile.*),
+ * merged by name. The component's stats win a name clash.
  */
 std::string metricsJson(std::vector<const Registry *> own);
 

@@ -36,29 +36,6 @@ ThermalEnvironment::stepMinute(const std::vector<Kilowatts> &server_heat)
         lastHeatKw_[i] = server_heat[i].value();
 }
 
-void
-ThermalEnvironment::applyLaneStep(const std::vector<Kilowatts> &server_heat,
-                                  const double *rises, std::size_t stride)
-{
-    ECOLO_ASSERT(server_heat.size() == numServers(),
-                 "heat vector size mismatch: ", server_heat.size(), " vs ",
-                 numServers());
-    // Mirrors stepMinute minus the matrix-model push: the total-heat
-    // chain feeding the cooling model uses the same association, and
-    // the rise cache receives the bank's (bit-identical) lane column.
-    Kilowatts total(0.0);
-    for (Kilowatts h : server_heat)
-        total += h;
-    cooling_.step(total, minutes(1));
-    const std::size_t n = server_heat.size();
-    riseCache_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        riseCache_[i] = rises[i * stride];
-    lastHeatKw_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        lastHeatKw_[i] = server_heat[i].value();
-}
-
 Celsius
 ThermalEnvironment::inletTemperature(std::size_t i) const
 {

@@ -19,13 +19,7 @@
 #include "thermal/heat_matrix.hh"
 #include "util/units.hh"
 
-namespace ecolo::core {
-class LaneBatchRunner;
-} // namespace ecolo::core
-
 namespace ecolo::thermal {
-
-class LaneThermalBank;
 
 /** Facade over the matrix model and the lumped cooling model. */
 class ThermalEnvironment
@@ -57,17 +51,6 @@ class ThermalEnvironment
 
     /** Advance one minute given every server's actual heat output. */
     void stepMinute(const std::vector<Kilowatts> &server_heat);
-
-    /**
-     * Lane-batched variant of stepMinute: the matrix recurrence already
-     * advanced inside a LaneThermalBank, which hands back this lane's
-     * rises as a strided view (rises[i * stride]). Advances the cooling
-     * model and refreshes the rise/heat caches exactly as stepMinute
-     * does, but does not touch the matrix model -- the bank owns its
-     * state until it scatters back (see LaneThermalBank).
-     */
-    void applyLaneStep(const std::vector<Kilowatts> &server_heat,
-                       const double *rises, std::size_t stride);
 
     /** Inlet temperature of server i after the last step. */
     Celsius inletTemperature(std::size_t i) const;
@@ -106,12 +89,6 @@ class ThermalEnvironment
     void loadState(util::StateReader &reader);
 
   private:
-    // The lane-batch machinery gathers/scatters the matrix model's
-    // streaming state directly (keeping it externally checkpointable).
-    friend class LaneThermalBank;
-    friend class core::LaneBatchRunner;
-    MatrixThermalModel &matrixModelMutable() { return matrixModel_; }
-
     MatrixThermalModel matrixModel_;
     CoolingSystem cooling_;
     double serverAirflowWPerK_;

@@ -325,12 +325,13 @@ MatrixThermalModel::pushPowers(const std::vector<Kilowatts> &powers)
         // `slot` still holds P(t - H) -- exactly the sample leaving the
         // window (zeros while warming up, so the correction is a no-op
         // then): a_q <- lambda_q a_q + P(t) - lambda_q^H P(t - H).
-        // The advance runs through the shared out-of-line kernel so the
-        // lane bank (count = N * kLaneWidth) executes the same code.
         const std::size_t total_modes = modeDecay_.size();
         for (std::size_t q = 0; q < total_modes; ++q) {
-            kernels::streamAccumAdvance(&modeAccum_[q * n], pnew, slot,
-                                        modeDecay_[q], modeTail_[q], n);
+            double *a = &modeAccum_[q * n];
+            const double lambda = modeDecay_[q];
+            const double tail = modeTail_[q];
+            for (std::size_t j = 0; j < n; ++j)
+                a[j] = lambda * a[j] + pnew[j] - tail * slot[j];
         }
         std::copy(pnew, pnew + n, slot);
     } else {
@@ -388,35 +389,15 @@ MatrixThermalModel::updateStreamingRises()
         if (begin == end)
             continue; // a zero factor fits with zero modes
         double *s = streamSum_.data();
-        kernels::streamCombineFirst(s, &modeAccum_[begin * n],
-                                    modeWeight_[begin], n);
+        for (std::size_t j = 0; j < n; ++j)
+            s[j] = modeWeight_[begin] * modeAccum_[begin * n + j];
         for (std::size_t q = begin + 1; q < end; ++q)
-            kernels::streamCombineAdd(s, &modeAccum_[q * n],
-                                      modeWeight_[q], n);
+            for (std::size_t j = 0; j < n; ++j)
+                s[j] += modeWeight_[q] * modeAccum_[q * n + j];
         // ... then the spatial GEMV, rises += U_r s_r (see
         // stream_kernels.hh for the layout and dispatch story).
         kernels::accumulateColumnAxpy(&spatialT_[r * n * n], s, rises, n);
     }
-}
-
-bool
-MatrixThermalModel::streamingStateCompatible(
-    const MatrixThermalModel &other) const
-{
-    // Lane-bank packing predicate: two models can share one SoA arena
-    // only when every constant of the recurrence is bitwise equal (the
-    // bank broadcasts them across lanes) and the ring phase matches
-    // (the bank keeps a single head/filled pair for the group).
-    return active_ == KernelMode::Streaming &&
-           other.active_ == KernelMode::Streaming &&
-           matrix_.numServers() == other.matrix_.numServers() &&
-           matrix_.horizon() == other.matrix_.horizon() &&
-           modeDecay_ == other.modeDecay_ &&
-           modeTail_ == other.modeTail_ &&
-           modeWeight_ == other.modeWeight_ &&
-           rankModeBegin_ == other.rankModeBegin_ &&
-           spatialT_ == other.spatialT_ &&
-           head_ == other.head_ && filled_ == other.filled_;
 }
 
 CelsiusDelta

@@ -127,7 +127,7 @@ class HeatDistributionMatrix
 
 /** How MatrixThermalModel computes rises. Callers request Auto or Dense;
  * Streaming is only ever reported, by activeKernel(). The numeric values
- * of Auto and Dense feed cache and lane keys, so never reorder them. */
+ * of Auto and Dense feed cache keys, so never reorder them. */
 enum class KernelMode
 {
     Auto = 0,  //!< streaming when the fit is admitted, else dense
@@ -205,16 +205,7 @@ class MatrixThermalModel
     /** Total exponential modes across ranks (0 unless streaming). */
     std::size_t streamingModeCount() const { return modeDecay_.size(); }
 
-    /**
-     * True when this model and `other` both run the streaming kernel
-     * with bitwise-equal recurrence constants (decays, tails, weights,
-     * spatial factors) and the same ring phase -- the precondition for
-     * advancing both in one LaneThermalBank arena.
-     */
-    bool streamingStateCompatible(const MatrixThermalModel &other) const;
-
   private:
-    friend class LaneThermalBank;
     void computeAllRisesDense(std::vector<double> &rises_out) const;
     void initStreamingState(const TemporalFactorization &factors);
     void updateStreamingRises();

@@ -2,33 +2,6 @@
 
 namespace ecolo::thermal::kernels {
 
-// The elementwise kernels are deliberately out-of-line (and never
-// LTO'd): the scalar model and the lane bank execute the same machine
-// code, so vector-body-vs-epilogue contraction choices apply per
-// element identically in both callers.
-
-void
-streamAccumAdvance(double *a, const double *pnew, const double *slot,
-                   double lambda, double tail, std::size_t count)
-{
-    for (std::size_t k = 0; k < count; ++k)
-        a[k] = lambda * a[k] + pnew[k] - tail * slot[k];
-}
-
-void
-streamCombineFirst(double *s, const double *a, double w, std::size_t count)
-{
-    for (std::size_t k = 0; k < count; ++k)
-        s[k] = w * a[k];
-}
-
-void
-streamCombineAdd(double *s, const double *a, double w, std::size_t count)
-{
-    for (std::size_t k = 0; k < count; ++k)
-        s[k] += w * a[k];
-}
-
 #if defined(__GNUC__) || defined(__clang__)
 
 /** 8-wide double vector; on ISAs narrower than 512 bits the compiler
@@ -62,9 +35,7 @@ storeVec8(double *p, Vec8 v)
 // any other function; under TSan/ASan that resolver calls into the
 // sanitizer runtime during IRELATIVE relocation, before the runtime's
 // TLS exists, and the process segfaults at load. Sanitizer builds take
-// the default-ISA body instead — they measure races, not throughput —
-// and both the scalar model and the lane bank still share that one
-// body, so the bit-identity contracts are unaffected.
+// the default-ISA body instead — they measure races, not throughput.
 #if defined(__x86_64__) && !defined(__clang__) \
         && !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
 #define ECOLO_KERNEL_CLONES \
@@ -114,43 +85,6 @@ accumulateColumnAxpy(const double *ut, const double *s, double *rises,
     }
 }
 
-ECOLO_KERNEL_CLONES
-void
-laneAccumulateColumnAxpy8(const double *ut, const double *sK,
-                          double *risesK, std::size_t n)
-{
-    // The vector axis is the lane dimension: one Vec8 holds the eight
-    // lanes' values of a single (row, column) term. To keep lane l's
-    // result bitwise equal to the scalar GEMV, rows follow the scalar
-    // association exactly -- rows the scalar processes in 8-blocks use
-    // its four j-chains (leftover columns into chain 0, combined as
-    // (c0 + c1) + (c2 + c3)); the scalar's tail rows use its single
-    // serial chain. Multiplication operand roles match too: the column
-    // state is the vector operand, the matrix entry the broadcast one,
-    // and a * b is IEEE-commutative bitwise.
-    const std::size_t blocked = (n / 8) * 8;
-    for (std::size_t i = 0; i < blocked; ++i) {
-        Vec8 acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            acc0 += loadVec8(&sK[j * 8]) * ut[j * n + i];
-            acc1 += loadVec8(&sK[(j + 1) * 8]) * ut[(j + 1) * n + i];
-            acc2 += loadVec8(&sK[(j + 2) * 8]) * ut[(j + 2) * n + i];
-            acc3 += loadVec8(&sK[(j + 3) * 8]) * ut[(j + 3) * n + i];
-        }
-        for (; j < n; ++j)
-            acc0 += loadVec8(&sK[j * 8]) * ut[j * n + i];
-        const Vec8 sum = (acc0 + acc1) + (acc2 + acc3);
-        storeVec8(&risesK[i * 8], loadVec8(&risesK[i * 8]) + sum);
-    }
-    for (std::size_t i = blocked; i < n; ++i) {
-        Vec8 acc = {};
-        for (std::size_t j = 0; j < n; ++j)
-            acc += loadVec8(&sK[j * 8]) * ut[j * n + i];
-        storeVec8(&risesK[i * 8], loadVec8(&risesK[i * 8]) + acc);
-    }
-}
-
 #pragma GCC diagnostic pop
 
 #else // !(__GNUC__ || __clang__): portable column-AXPY fallbacks
@@ -164,22 +98,6 @@ accumulateColumnAxpy(const double *ut, const double *s, double *rises,
         const double *col = &ut[j * n];
         for (std::size_t i = 0; i < n; ++i)
             rises[i] += sj * col[i];
-    }
-}
-
-void
-laneAccumulateColumnAxpy8(const double *ut, const double *sK,
-                          double *risesK, std::size_t n)
-{
-    // Mirrors the portable scalar form: a column sweep accumulating
-    // straight into rises, so per (row, lane) the association is the
-    // same single ascending-j chain rooted at the output element.
-    for (std::size_t j = 0; j < n; ++j) {
-        const double *sl = &sK[j * kLaneWidth];
-        const double *col = &ut[j * n];
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t l = 0; l < kLaneWidth; ++l)
-                risesK[i * kLaneWidth + l] += sl[l] * col[i];
     }
 }
 

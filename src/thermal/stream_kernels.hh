@@ -1,25 +1,11 @@
 /**
  * @file
- * Shared numeric kernels of the streaming thermal recurrence.
+ * The spatial GEMV of the streaming thermal recurrence.
  *
- * The scalar model (MatrixThermalModel) and the lane-batched bank
- * (LaneThermalBank) must produce byte-identical results: a simulation
- * advanced inside an 8-lane SoA group has to report exactly what it
- * would have reported alone. The only robust way to guarantee that is
- * to run both paths through the *same machine code*, so every
- * elementwise update (mode-accumulator advance, mode combine) lives
- * here as an out-of-line function called with count = N by the scalar
- * model and count = N * kLaneWidth by the bank -- same loop body, same
- * contraction decisions, per-element results identical by construction.
- *
- * The GEMV pair is different code (the vector axis moves from output
- * rows to lanes) but replicates the scalar association exactly per
- * (row, lane): four accumulator chains over column groups of four,
- * leftovers into chain 0, combined as (c0 + c1) + (c2 + c3), with the
- * scalar row tail (rows beyond the last full 8-block) using a single
- * serial chain. Both functions carry the same target_clones attribute
- * set, so the runtime resolver picks the same ISA -- and therefore the
- * same per-element FMA contraction -- for both.
+ * MatrixThermalModel's per-slot update is O(N modes) elementwise work
+ * plus one O(N^2) matrix-vector product per rank. The product lives
+ * here, in its own translation unit, because it is compiled as several
+ * ISA clones (function multi-versioning) dispatched once at load time.
  */
 
 #ifndef ECOLO_THERMAL_STREAM_KERNELS_HH
@@ -28,26 +14,6 @@
 #include <cstddef>
 
 namespace ecolo::thermal::kernels {
-
-/** Lanes per SIMD group: one 8-wide double vector (a Vec8). */
-inline constexpr std::size_t kLaneWidth = 8;
-
-/**
- * Mode-accumulator advance, a[k] = lambda * a[k] + pnew[k] - tail *
- * slot[k] for k in [0, count). The scalar model calls it once per mode
- * with count = N; the lane bank with count = N * kLaneWidth over the
- * lane-interleaved arena.
- */
-void streamAccumAdvance(double *a, const double *pnew, const double *slot,
-                        double lambda, double tail, std::size_t count);
-
-/** First mode of a rank: s[k] = w * a[k]. */
-void streamCombineFirst(double *s, const double *a, double w,
-                        std::size_t count);
-
-/** Subsequent modes: s[k] += w * a[k]. */
-void streamCombineAdd(double *s, const double *a, double w,
-                      std::size_t count);
 
 /**
  * The streaming kernel's only O(N^2) step: rises[i] += sum_j s[j] *
@@ -62,16 +28,6 @@ void streamCombineAdd(double *s, const double *a, double w,
  */
 void accumulateColumnAxpy(const double *ut, const double *s, double *rises,
                           std::size_t n);
-
-/**
- * Lane-batched GEMV over kLaneWidth interleaved states: risesK[i *
- * kLaneWidth + l] += sum_j sK[j * kLaneWidth + l] * ut[j * n + i].
- * The per-(row, lane) accumulation order replicates
- * accumulateColumnAxpy exactly (see file comment), so lane l's rises
- * are bitwise what the scalar GEMV computes from lane l's state.
- */
-void laneAccumulateColumnAxpy8(const double *ut, const double *sK,
-                               double *risesK, std::size_t n);
 
 } // namespace ecolo::thermal::kernels
 

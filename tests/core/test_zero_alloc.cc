@@ -5,7 +5,8 @@
  * The per-minute step is the hot path of every year-long campaign; the
  * streaming thermal kernel, the side-channel sample arena and the fleet
  * scratch rows exist so that, once warmed up, stepping the simulation
- * touches the allocator zero times per slot. This binary replaces the
+ * touches the allocator zero times per slot -- alone, through the batch
+ * runner, or as a fleet site on the thread pool. This binary replaces the
  * global operator new with a counting wrapper (which is why these tests
  * live in their own executable) and asserts the count stays flat across
  * hundreds of simulated minutes -- in the healthy steady state and in
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hh"
+#include "core/fleet.hh"
 #include "core/lane_batch.hh"
 #include "core/setup_cache.hh"
 #include "faults/schedule.hh"
@@ -170,10 +172,9 @@ TEST(ZeroAllocation, DegradedModeSlotLoopIsAllocationFree)
 
 TEST(ZeroAllocation, LaneBatchSlotLoopIsAllocationFree)
 {
-    // Four fingerprint-equal simulations packed into one group exercise
-    // the full lane-batch fast path -- shared benign workload, SoA
-    // thermal bank, masked finish bookkeeping -- which must be as
-    // allocation-free as the scalar loop it replaces.
+    // Four simulations sharing one setup cache, advanced by the batch
+    // runner's pool fan-out: dispatching them and finishing them must
+    // be as allocation-free as the scalar loop each one runs.
     auto cache = std::make_shared<SetupCache>();
     auto config = SimulationConfig::paperDefault();
     config.seed = 99;
@@ -189,8 +190,8 @@ TEST(ZeroAllocation, LaneBatchSlotLoopIsAllocationFree)
     for (auto &sim : sims)
         runner.add(*sim, 30 + 360);
 
-    // Warmup: forms the groups, sizes the bank arena and every per-lane
-    // scratch buffer, and fills the thermal horizon.
+    // Warmup: starts the pool, sizes every member's scratch buffers and
+    // fills the thermal horizon.
     runner.run(30);
 
     const long long before = g_news.load(std::memory_order_relaxed);
@@ -204,10 +205,10 @@ TEST(ZeroAllocation, LaneBatchSlotLoopIsAllocationFree)
 
 TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
 {
-    // The runner driven in status-sized chunks with a per-lane cancel
+    // The runner driven in status-sized chunks with a per-member cancel
     // check installed (a serve-style token poll). Neither the chunked
     // re-entry, nor the armed cancel branch, nor retiring a cancelled
-    // lane mid-measurement may touch the heap.
+    // member mid-measurement may touch the heap.
     auto cache = std::make_shared<SetupCache>();
     auto config = SimulationConfig::paperDefault();
     config.seed = 99;
@@ -230,11 +231,11 @@ TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
     LaneBatchRunner runner;
     for (auto &sim : sims)
         runner.add(*sim, 30 + 360);
-    runner.run(30); // warmup: groups formed, arenas sized
+    runner.run(30); // warmup: pool started, scratch buffers sized
 
     const long long before = g_news.load(std::memory_order_relaxed);
     for (int chunk = 0; chunk < 6 && !runner.finished(); ++chunk) {
-        if (chunk == 2) // masked divergence: one lane retires early
+        if (chunk == 2) // one member retires early
             cancelled[1].store(true, std::memory_order_relaxed);
         runner.run(60);
     }
@@ -248,6 +249,25 @@ TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
     EXPECT_EQ(runner.remaining(1), 0);
     EXPECT_EQ(sims[1]->now(), 30 + 120);
     EXPECT_EQ(sims[0]->now(), 30 + 360);
+}
+
+TEST(ZeroAllocation, ChunkedFleetRunIsAllocationFree)
+{
+    // A checkpointing driver advances a fleet in small chunks; once the
+    // outage scratch rows have their capacity, a chunk allocates nothing
+    // -- neither the pool dispatch nor any site's slots.
+    auto config = SimulationConfig::paperDefault();
+    config.seed = 99;
+    FleetSimulation fleet(config, 4, 14 * 60, Kilowatts(6.5));
+    fleet.run(30); // warmup: pool started, scratch rows sized
+
+    const long long before = g_news.load(std::memory_order_relaxed);
+    for (int chunk = 0; chunk < 6; ++chunk)
+        fleet.run(30);
+    const long long during =
+        g_news.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(during, 0) << "a warm fleet chunk touched the heap";
+    EXPECT_EQ(fleet.now(), 30 + 6 * 30);
 }
 
 TEST(ZeroAllocation, WarmSetupCopiesNoTrace)
