@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks for the performance-critical kernels: the dense vs.
  * streaming thermal kernel (the per-minute hot path of every
- * campaign), serial vs. thread-pool fleet simulation, and serial vs.
- * parallel CFD matrix extraction. Run with --benchmark_format=json (or
+ * campaign), the cold set-up of one simulation, serial vs. thread-pool
+ * fleet simulation, and serial vs. parallel CFD matrix extraction. Run
+ * with --benchmark_format=json (or
  * --benchmark_out=...) to emit the machine-readable perf trajectory.
  *
  * Independently of google-benchmark's own (version-dependent) JSON, the
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 
 #include "common.hh"
 #include "core/fleet.hh"
+#include "core/setup_cache.hh"
 #include "power/layout.hh"
 #include "telemetry/events.hh" // jsonEscape
 #include "thermal/heat_matrix.hh"
@@ -208,6 +211,23 @@ BM_CampaignStreaming(benchmark::State &state)
     benchCampaign(state, KernelMode::Auto);
 }
 BENCHMARK(BM_CampaignStreaming)->Unit(benchmark::kMillisecond);
+
+// ---- Cold set-up: one default Simulation on a fresh SetupCache. ----
+// Every iteration generates the year-long traces and runs the scale
+// solve, heat matrix and factorization from scratch: the fixed cost of
+// a new scenario. A trajectory row; the baseline does not carry it.
+
+void
+BM_ColdSetup(benchmark::State &state)
+{
+    auto config = core::SimulationConfig::paperDefault();
+    for (auto _ : state) {
+        config.setupCache = std::make_shared<core::SetupCache>();
+        core::Simulation sim(config, core::makeRandomPolicy(config, 0.0));
+        benchmark::DoNotOptimize(sim.now());
+    }
+}
+BENCHMARK(BM_ColdSetup)->Unit(benchmark::kMillisecond);
 
 // ---- Campaign sweep with and without a shared SetupCache. ----
 // The CI perf gate filters on the BM_LaneBatch* row names and the

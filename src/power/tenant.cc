@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "power/mean_power_kernel.hh"
 #include "util/logging.hh"
 
 namespace ecolo::power {
@@ -121,9 +122,13 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
                             Kilowatts target_mean_power)
 {
     ECOLO_ASSERT(!tenants.empty(), "no tenants to scale");
-    for (Tenant *t : tenants)
+    for (Tenant *t : tenants) {
         ECOLO_ASSERT(t != nullptr && t->hasTrace(),
                      "computeMeanPowerScaleFactor needs tenants with traces");
+        const ServerSpec &spec = t->server(0).spec();
+        ECOLO_ASSERT(spec.idlePower <= spec.peakPower,
+                     "idle power above peak power");
+    }
 
     // All tenants share one trace length (they are generated together).
     const std::size_t horizon = tenants.front()->traceRef().size();
@@ -131,40 +136,65 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
         ECOLO_ASSERT(t->traceRef().size() == horizon,
                      "tenant trace lengths differ");
 
-    // Mean power is a monotone function of the common scale factor; solve
-    // for it by bisection. The achieved mean saturates at all-peak power,
-    // so clamp the target to what is actually reachable.
-    auto mean_power_for = [&](double factor) {
-        double total_kw = 0.0;
+    // Site mean power at kMeanPowerLanes factors, one pass per tenant.
+    // Each lane is the sum ServerSpec::powerAt would give, bit for bit.
+    auto mean_power_for = [&](const MeanPowerLanes &factors) {
+        MeanPowerLanes total_kw{};
         for (const Tenant *t : tenants) {
-            const auto &samples = t->traceRef().samples();
             const ServerSpec &spec = t->server(0).spec();
-            const double n = static_cast<double>(t->numServers());
-            double tenant_kw = 0.0;
-            for (double u : samples) {
-                const double scaled = std::clamp(u * factor, 0.0, 1.0);
-                tenant_kw += spec.powerAt(scaled).value() * n;
-            }
-            total_kw += tenant_kw / static_cast<double>(samples.size());
+            const MeanPowerLanes tenant_kw = tenantMeanPower(
+                t->traceRef().samples(), spec.idlePower.value(),
+                (spec.peakPower - spec.idlePower).value(),
+                static_cast<double>(t->numServers()), factors);
+            for (std::size_t k = 0; k < kMeanPowerLanes; ++k)
+                total_kw[k] += tenant_kw[k];
         }
         return total_kw;
     };
 
+    // Mean power is a monotone function of the common scale factor; solve
+    // for it by bisection. The achieved mean saturates at all-peak power,
+    // so clamp the target to what is actually reachable.
     const double target = target_mean_power.value();
-    double lo = 0.0, hi = 1.0;
-    // Grow hi until the target is bracketed or saturation is reached.
-    while (mean_power_for(hi) < target && hi < 64.0)
-        hi *= 2.0;
-    if (mean_power_for(hi) < target) {
+    // hi is the first of 1, 2, 4, ..., 64 whose mean reaches the target,
+    // or 64 when none does (the last lane repeats 64).
+    const MeanPowerLanes bracket{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 64.0};
+    const MeanPowerLanes at_bracket = mean_power_for(bracket);
+    std::size_t first = 0;
+    while (at_bracket[first] < target && first < 6)
+        ++first;
+    double lo = 0.0, hi = bracket[first];
+    if (at_bracket[first] < target) {
         warn("target mean power ", target,
              " kW unreachable; saturating traces at full utilization");
     }
-    for (int iter = 0; iter < 60; ++iter) {
+    // 60 halvings, three per pass: a pass scores the seven midpoints the
+    // next three halvings can visit (a heap: node i's halves are 2i+1
+    // below and 2i+2 above), computed as 0.5 * (lo + hi) from the very
+    // bracket each halving would hold, then walks one root-to-leaf path.
+    for (int pass = 0; pass < 20; ++pass) {
         const double mid = 0.5 * (lo + hi);
-        if (mean_power_for(mid) < target)
-            lo = mid;
-        else
-            hi = mid;
+        const double below = 0.5 * (lo + mid);
+        const double above = 0.5 * (mid + hi);
+        const MeanPowerLanes mids{mid,
+                                  below,
+                                  above,
+                                  0.5 * (lo + below),
+                                  0.5 * (below + mid),
+                                  0.5 * (mid + above),
+                                  0.5 * (above + hi),
+                                  mid};
+        const MeanPowerLanes at_mids = mean_power_for(mids);
+        std::size_t node = 0;
+        for (int level = 0; level < 3; ++level) {
+            if (at_mids[node] < target) {
+                lo = mids[node];
+                node = 2 * node + 2;
+            } else {
+                hi = mids[node];
+                node = 2 * node + 1;
+            }
+        }
     }
     return 0.5 * (lo + hi);
 }

@@ -86,9 +86,12 @@ class Tenant
  * power* hit target_mean_power when every tenant reads its (unscaled)
  * trace through it, clamped to [0, 1] as applyTraceAt does. This is how
  * the paper sets "75% average utilization" of the 8 kW capacity. The
- * bisection over year-long traces dominates per-simulation setup cost,
- * so campaign drivers solve once per distinct trace set and reuse the
- * factor (core::SetupCache::scaleFactor).
+ * solve is a 60-step bisection run three steps per pass over the
+ * year-long traces (tenantMeanPower scores the seven midpoints those
+ * steps can visit), with the bits of one step per pass. It is still the
+ * largest single cost of a cold set-up, so campaign drivers solve once
+ * per distinct trace set and reuse the factor
+ * (core::SetupCache::scaleFactor).
  */
 double computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
                                    Kilowatts target_mean_power);

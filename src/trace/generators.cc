@@ -21,6 +21,29 @@ dailyShape(double hour, double peak_hour)
     return 0.5 * (1.0 + std::cos(phase));
 }
 
+/**
+ * dailyShape at every minute of the day: entry m is
+ * dailyShape(hourOfDay(m), peak_hour). hourOfDay depends only on the
+ * minute of the day, so reading entry minuteOfDay(t) gives the bits of
+ * the call at t without a cosine per sample.
+ */
+std::vector<double>
+dailyShapeTable(double peak_hour)
+{
+    std::vector<double> shape(kMinutesPerDay);
+    for (std::size_t m = 0; m < shape.size(); ++m)
+        shape[m] = dailyShape(hourOfDay(static_cast<MinuteIndex>(m)),
+                              peak_hour);
+    return shape;
+}
+
+/** Index of minute t in a dailyShapeTable. */
+std::size_t
+minuteSlot(MinuteIndex t)
+{
+    return static_cast<std::size_t>(minuteOfDay(t));
+}
+
 /** Poisson burst process: additive utilization bursts over the horizon. */
 void
 addBursts(std::vector<double> &samples, Rng &rng, double bursts_per_day,
@@ -61,17 +84,25 @@ DiurnalTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
     const Params &p = params_;
     std::vector<double> samples(num_minutes);
 
+    // The noise-free level depends only on the minute of the day and on
+    // whether the day is a weekend, so it is tabled once per trace.
+    const std::vector<double> primary = dailyShapeTable(p.peakHour);
+    const std::vector<double> secondary = dailyShapeTable(p.secondaryPeakHour);
+    std::vector<double> weekday(kMinutesPerDay), weekend(kMinutesPerDay);
+    for (std::size_t m = 0; m < weekday.size(); ++m) {
+        double level = p.baseUtilization;
+        level += p.diurnalAmplitude * primary[m];
+        level += p.secondaryAmplitude * secondary[m];
+        weekday[m] = level;
+        weekend[m] = level * p.weekendFactor;
+    }
+
     double noise = 0.0;
     const double noise_innovation =
         p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
     for (std::size_t i = 0; i < num_minutes; ++i) {
         const auto t = static_cast<MinuteIndex>(i);
-        const double hour = hourOfDay(t);
-        double level = p.baseUtilization;
-        level += p.diurnalAmplitude * dailyShape(hour, p.peakHour);
-        level += p.secondaryAmplitude * dailyShape(hour, p.secondaryPeakHour);
-        if (isWeekend(t))
-            level *= p.weekendFactor;
+        const double level = (isWeekend(t) ? weekend : weekday)[minuteSlot(t)];
         noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
         samples[i] = level + noise;
     }
@@ -100,6 +131,7 @@ GoogleStyleTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
     double noise = 0.0;
     const double noise_innovation =
         p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
+    const std::vector<double> shape = dailyShapeTable(p.peakHour);
 
     for (std::size_t i = 0; i < num_minutes; ++i) {
         if (dwell_left <= 0.0) {
@@ -119,7 +151,7 @@ GoogleStyleTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
 
         const auto t = static_cast<MinuteIndex>(i);
         const double diurnal =
-            p.diurnalAmplitude * (dailyShape(hourOfDay(t), p.peakHour) - 0.5);
+            p.diurnalAmplitude * (shape[minuteSlot(t)] - 0.5);
         noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
         samples[i] = current + diurnal + noise;
     }
@@ -157,13 +189,14 @@ RequestTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
         }
     }
 
+    const std::vector<double> shape = dailyShapeTable(p.peakHour);
     std::size_t crowd_idx = 0;
     for (std::size_t i = 0; i < num_minutes; ++i) {
         const auto t = static_cast<MinuteIndex>(i);
         // Diurnal request rate.
-        const double shape = dailyShape(hourOfDay(t), p.peakHour);
         double rate = p.peakRequestsPerSecond *
-                      (p.baseFraction + (1.0 - p.baseFraction) * shape);
+                      (p.baseFraction +
+                       (1.0 - p.baseFraction) * shape[minuteSlot(t)]);
         if (isWeekend(t))
             rate *= p.weekendFactor;
         // Flash crowds multiply the offered rate.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "trace/generators.hh"
 #include "util/sim_time.hh"
@@ -254,6 +256,71 @@ TEST(RequestGenerator, WorksAsEngineExternalTrace)
     // Usable wherever UtilizationTrace is accepted.
     const auto scaled = scaleToMeanUtilization(t, 0.6);
     EXPECT_NEAR(scaled.mean(), 0.6, 0.01);
+}
+
+} // namespace
+} // namespace ecolo::trace
+
+namespace ecolo::trace {
+namespace {
+
+/** 64-bit FNV-1a over the raw bytes of every sample. */
+std::uint64_t
+fnv1a(const UtilizationTrace &t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        unsigned char bytes[sizeof(double)];
+        const double v = t[i];
+        std::memcpy(bytes, &v, sizeof(v));
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+// Year-long traces at fixed seeds must keep their exact bytes: the
+// set-up cache, the scale solve and every report downstream read them.
+// The hashes hold for builds without FMA contraction (the default ISA);
+// a -march=native build may contract the generators' arithmetic.
+#if defined(__FMA__)
+#define ECOLO_SKIP_IF_CONTRACTED() \
+    GTEST_SKIP() << "byte pins hold only without FMA contraction"
+#else
+#define ECOLO_SKIP_IF_CONTRACTED() (void)0
+#endif
+
+TEST(GeneratorPins, DiurnalYearBytes)
+{
+    ECOLO_SKIP_IF_CONTRACTED();
+    Rng rng(2021);
+    DiurnalTraceGenerator::Params params;
+    params.peakHour = 13.6; // off the hour, as the engine staggers it
+    EXPECT_EQ(fnv1a(DiurnalTraceGenerator(params).generate(kMinutesPerYear,
+                                                           rng)),
+              0x69bfbb8824d1bc5cULL);
+}
+
+TEST(GeneratorPins, GoogleStyleYearBytes)
+{
+    ECOLO_SKIP_IF_CONTRACTED();
+    Rng rng(2022);
+    EXPECT_EQ(fnv1a(GoogleStyleTraceGenerator().generate(kMinutesPerYear,
+                                                         rng)),
+              0x9f5436dc7a15a063ULL);
+}
+
+TEST(GeneratorPins, RequestYearBytes)
+{
+    ECOLO_SKIP_IF_CONTRACTED();
+    Rng rng(2023);
+    RequestTraceGenerator::Params params;
+    params.peakHour = 14.4;
+    EXPECT_EQ(fnv1a(RequestTraceGenerator(params).generate(kMinutesPerYear,
+                                                           rng)),
+              0x2f52eea4f12966d0ULL);
 }
 
 } // namespace
