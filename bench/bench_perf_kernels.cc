@@ -15,6 +15,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -30,6 +31,7 @@
 #include "core/setup_cache.hh"
 #include "power/layout.hh"
 #include "telemetry/events.hh" // jsonEscape
+#include "telemetry/telemetry.hh"
 #include "thermal/heat_matrix.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -161,6 +163,44 @@ BENCHMARK(BM_YearSlotLoopStreaming)
 
 // ---- End-to-end campaign: dense vs. streaming engine hot path. ----
 
+/**
+ * Where a slot's time goes: one more run, outside the timed loop, with
+ * the engine's phase clock on. Each phase_<name>_ns row is that run's
+ * mean per slot. The rows partition the phased loop,
+ * phased_loop_ns_per_slot, and the run fails when they sum to more
+ * than 5 % away from it. The phased loop exceeds loop_ns_per_slot by
+ * the clock's reads, one per phase, which each row carries once.
+ */
+void
+reportSlotPhases(benchmark::State &state,
+                 const core::SimulationConfig &config, double days)
+{
+    if (!telemetry::kCompiledIn)
+        return;
+    core::Simulation sim(config, core::makeForesightedPolicy(config, 14.0));
+    sim.setPhaseClock(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.runDays(days);
+    const auto t1 = std::chrono::steady_clock::now();
+
+    const core::SlotPhaseTimes &times = sim.slotPhaseTimes();
+    const auto slots = static_cast<double>(times.slots);
+    double sum_ns = 0.0;
+    for (std::size_t p = 0; p < core::kNumSlotPhases; ++p) {
+        const double ns = static_cast<double>(times.ns[p]) / slots;
+        state.counters[std::string("phase_") +
+                       core::slotPhaseName(static_cast<core::SlotPhase>(p)) +
+                       "_ns"] = ns;
+        sum_ns += ns;
+    }
+    const double loop_ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count() / slots;
+    state.counters["phased_loop_ns_per_slot"] = loop_ns;
+    state.counters["phase_sum_ns"] = sum_ns;
+    if (std::abs(sum_ns / loop_ns - 1.0) > 0.05)
+        state.SkipWithError("slot phases do not sum to the loop time");
+}
+
 void
 benchCampaign(benchmark::State &state, KernelMode mode)
 {
@@ -196,6 +236,7 @@ benchCampaign(benchmark::State &state, KernelMode mode)
     state.counters["loop_ns_per_slot"] =
         std::chrono::duration<double, std::nano>(loop_time).count() /
         (iters * days * 24 * 60);
+    reportSlotPhases(state, config, days);
 }
 
 void

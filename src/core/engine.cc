@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 
@@ -11,7 +12,58 @@
 
 namespace ecolo::core {
 
+const char *
+slotPhaseName(SlotPhase phase)
+{
+    switch (phase) {
+      case SlotPhase::Tenants: return "tenants";
+      case SlotPhase::Observation: return "observation";
+      case SlotPhase::Policy: return "policy";
+      case SlotPhase::Attacker: return "attacker";
+      case SlotPhase::Gather: return "gather";
+      case SlotPhase::Pdu: return "pdu";
+      case SlotPhase::Thermal: return "thermal";
+      case SlotPhase::Operator: return "operator";
+      case SlotPhase::Metrics: return "metrics";
+      case SlotPhase::Count: break;
+    }
+    return "unknown";
+}
+
 namespace {
+
+/**
+ * Laps one slot's phases into a SlotPhaseTimes. Built with a null
+ * target (phase clock off) it reads no clock and writes nothing.
+ */
+class PhaseClock
+{
+  public:
+    explicit PhaseClock(SlotPhaseTimes *times) : times_(times)
+    {
+        if (times_) {
+            ++times_->slots;
+            last_ = std::chrono::steady_clock::now();
+        }
+    }
+
+    /** Charge the time since the previous lap to `phase`. */
+    void lap(SlotPhase phase)
+    {
+        if (!times_)
+            return;
+        const auto t = std::chrono::steady_clock::now();
+        const auto ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t - last_);
+        times_->ns[static_cast<std::size_t>(phase)] +=
+            static_cast<std::uint64_t>(ns.count());
+        last_ = t;
+    }
+
+  private:
+    SlotPhaseTimes *times_;
+    std::chrono::steady_clock::time_point last_{};
+};
 
 /** Per-tenant jitter so the three benign tenants are not clones. */
 trace::UtilizationTrace
@@ -157,6 +209,7 @@ Simulation::buildTenants()
             traces, &(*traces)[k]);
     };
     benignTenants_.reserve(config_.numBenignTenants);
+    tenantPower_.assign(config_.numBenignTenants, Kilowatts(0.0));
     std::vector<power::Tenant *> tenant_ptrs;
     for (std::size_t k = 0; k < config_.numBenignTenants; ++k) {
         benignTenants_.emplace_back("tenant-" + std::to_string(k + 1),
@@ -191,8 +244,8 @@ Kilowatts
 Simulation::benignActualPower() const
 {
     Kilowatts total(0.0);
-    for (const auto &tenant : benignTenants_)
-        total += tenant.actualPower();
+    for (const Kilowatts p : tenantPower_)
+        total += p;
     return total;
 }
 
@@ -261,6 +314,9 @@ Simulation::makeObservation(bool capping, bool outage)
 void
 Simulation::stepMinute()
 {
+    PhaseClock clock(telemetry::kCompiledIn && phaseClock_ ? &phaseTimes_
+                                                            : nullptr);
+
     // ---- 0. Fault injection (skipped entirely on healthy configs). ----
     if (faultsEnabled_) {
         applyFaultsForMinute();
@@ -330,23 +386,26 @@ Simulation::stepMinute()
         std::size_t remaining = std::min(num_benign, shed + failed);
         for (auto tenant = benignTenants_.rbegin();
              tenant != benignTenants_.rend() && remaining > 0; ++tenant) {
-            auto &servers = tenant->servers();
-            for (auto srv = servers.rbegin();
-                 srv != servers.rend() && remaining > 0; ++srv) {
-                srv->setPoweredOn(false);
-                --remaining;
-            }
+            const std::size_t k = std::min(remaining, tenant->numServers());
+            tenant->powerOffLast(k);
+            remaining -= k;
         }
     }
+    // Benign tenants hold this state until the next minute: their power
+    // is computed once here for the side channel, the PDU and step 7.
+    for (std::size_t k = 0; k < benignTenants_.size(); ++k)
+        tenantPower_[k] = benignTenants_[k].actualPower();
 
     attackerTenant_.setPoweredOn(!outage);
     if (any_cap)
         attackerTenant_.setPerServerCap(cap_level);
     else
         attackerTenant_.clearCaps();
+    clock.lap(SlotPhase::Tenants);
 
     // ---- 2. Observation, learning feedback, day boundary. ----
     const AttackObservation obs = makeObservation(any_cap, outage);
+    clock.lap(SlotPhase::Observation);
     if (havePending_)
         policy_->feedback(lastObs_, lastAction_, obs);
     if (now_ > 0 && now_ % kMinutesPerDay == 0)
@@ -365,6 +424,7 @@ Simulation::stepMinute()
         action = obs.batterySoc < 1.0 ? AttackAction::Charge
                                       : AttackAction::Standby;
     }
+    clock.lap(SlotPhase::Policy);
 
     // ---- 4. Attacker power execution. ----
     // A BMS cutout isolates the battery: neither discharging (the attack
@@ -410,41 +470,55 @@ Simulation::stepMinute()
         }
     }
 
+    clock.lap(SlotPhase::Attacker);
+
     // ---- 5. Per-server heat and metering. ----
     const std::size_t n_attacker = config_.attackerNumServers;
     const Kilowatts attacker_heat_per_server =
         supply.serverPower / static_cast<double>(n_attacker);
     const Kilowatts attacker_grid_per_server =
         supply.gridPower / static_cast<double>(n_attacker);
+    // Running sums in server order, as a pass over lastHeat_ would add
+    // them; off servers' +0.0 terms are dropped (DESIGN.md §4 rule 12).
+    Kilowatts heat_total(0.0);
     std::size_t server = 0;
     for (; server < n_attacker; ++server) {
         lastHeat_[server] = attacker_heat_per_server;
         lastMetered_[server] = attacker_grid_per_server;
+        heat_total += attacker_heat_per_server;
     }
     Kilowatts benign_total(0.0);
     for (const auto &tenant : benignTenants_) {
-        for (const auto &srv : tenant.servers()) {
-            const Kilowatts p = srv.actualPower();
+        const Kilowatts p = tenant.serverActualPower();
+        const std::size_t on = tenant.numPoweredOn();
+        for (std::size_t i = 0; i < on; ++i, ++server) {
             lastHeat_[server] = p;
             lastMetered_[server] = p;
             benign_total += p;
-            ++server;
+            heat_total += p;
         }
+        const std::size_t off = tenant.numServers() - on;
+        std::fill_n(lastHeat_.begin() + server, off, Kilowatts(0.0));
+        std::fill_n(lastMetered_.begin() + server, off, Kilowatts(0.0));
+        server += off;
     }
     ECOLO_ASSERT(server == config_.numServers(),
                  "server heat vector not fully populated");
+    clock.lap(SlotPhase::Gather);
 
     pdu_.setEnergized(!outage);
     pdu_.setCircuitDraw(0, supply.gridPower);
     for (std::size_t k = 0; k < benignTenants_.size(); ++k)
-        pdu_.setCircuitDraw(k + 1, benignTenants_[k].actualPower());
+        pdu_.setCircuitDraw(k + 1, tenantPower_[k]);
     const Kilowatts metered_total = pdu_.totalMeteredPower();
+    clock.lap(SlotPhase::Pdu);
 
     // ---- 6a. Thermal step. ----
     {
         telemetry::TraceSpan span("engine.thermal_step");
-        thermal_.stepMinute(lastHeat_);
+        thermal_.stepMinute(lastHeat_, heat_total);
     }
+    clock.lap(SlotPhase::Thermal);
 
     // ---- 6b. Operator reaction. ----
     // The attacker's batteries breathe the data center air; with a
@@ -539,6 +613,7 @@ Simulation::stepMinute()
         reg.gauge("engine.inlet.max_c").set(max_inlet.value());
         reg.gauge("battery.soc").set(soc);
     }
+    clock.lap(SlotPhase::Operator);
 
     // ---- 7. Performance accounting during capped minutes. ----
     if (any_cap && !outage) {
@@ -548,7 +623,7 @@ Simulation::stepMinute()
             const Kilowatts demand = tenant.demandPower();
             const double fraction =
                 demand.value() > 1e-9
-                    ? std::clamp(tenant.actualPower() / demand, 1e-6, 1.0)
+                    ? std::clamp(tenantPower_[k] / demand, 1e-6, 1.0)
                     : 1.0;
             const double norm =
                 latency_.normalizedP95(tenant.utilization(), fraction);
@@ -563,12 +638,7 @@ Simulation::stepMinute()
     MinuteRecord record;
     record.time = now_;
     record.meteredTotal = metered_total;
-    record.actualHeat = [&] {
-        Kilowatts total(0.0);
-        for (Kilowatts h : lastHeat_)
-            total += h;
-        return total;
-    }();
+    record.actualHeat = heat_total;
     record.attackBatteryPower =
         std::max(Kilowatts(0.0), supply.batteryPower);
     record.benignPower = benign_total;
@@ -590,6 +660,7 @@ Simulation::stepMinute()
     lastAction_ = action;
     havePending_ = true;
     ++now_;
+    clock.lap(SlotPhase::Metrics);
 }
 
 void

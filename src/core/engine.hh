@@ -13,6 +13,8 @@
 #ifndef ECOLO_CORE_ENGINE_HH
 #define ECOLO_CORE_ENGINE_HH
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -33,6 +35,40 @@
 #include "util/rng.hh"
 
 namespace ecolo::core {
+
+/** The phases of one slot, in the order Simulation::stepMinute runs
+ * them. */
+enum class SlotPhase : std::size_t
+{
+    Tenants,     //!< faults, traces, caps, power-off, attacker caps
+    Observation, //!< benign power through the side channel, inlet probe
+    Policy,      //!< learning feedback, day boundary, decide, comply
+    Attacker,    //!< the attacker's dual-source supply
+    Gather,      //!< per-server heat and metering vectors
+    Pdu,         //!< circuit draws and the metered total
+    Thermal,     //!< the thermal kernel step
+    Operator,    //!< the operator's reaction and its telemetry
+    Metrics,     //!< emergency performance, minute record, callback
+    Count
+};
+
+inline constexpr std::size_t kNumSlotPhases =
+    static_cast<std::size_t>(SlotPhase::Count);
+
+/** Lower-case name of a phase ("tenants", "observation", ...). */
+const char *slotPhaseName(SlotPhase phase);
+
+/**
+ * Wall-clock time per slot phase, summed over the slots stepped with
+ * the phase clock on (Simulation::setPhaseClock). The phases partition
+ * stepMinute, so their sum is those slots' loop time plus the clock's
+ * own reads, one per phase.
+ */
+struct SlotPhaseTimes
+{
+    std::array<std::uint64_t, kNumSlotPhases> ns{};
+    std::uint64_t slots = 0;
+};
 
 /** One configured run of the edge colocation under a given attack policy. */
 class Simulation
@@ -98,6 +134,17 @@ class Simulation
     const faults::ActiveFaults &activeFaults() const { return faultsNow_; }
 
     /**
+     * Time every slot phase from now on (or stop). Separate from
+     * telemetry::enabled(), whose per-slot spans and stat lookups would
+     * dwarf the phases they sit in; compiled out, like the rest of the
+     * telemetry, under EDGETHERM_TELEMETRY=0. Off (the default) costs
+     * one branch per phase and moves no result.
+     */
+    void setPhaseClock(bool on) { phaseClock_ = on; }
+    /** Per-phase slot times (not checkpointed). */
+    const SlotPhaseTimes &slotPhaseTimes() const { return phaseTimes_; }
+
+    /**
      * Serialize the complete mutable state. A Simulation constructed from
      * the same config and policy kind, then restored with loadState,
      * continues bit-identically to the uninterrupted run (learning
@@ -125,6 +172,8 @@ class Simulation
     Rng rng_;
 
     std::vector<power::Tenant> benignTenants_;
+    /** Each benign tenant's actual power this minute (set in step 1). */
+    std::vector<Kilowatts> tenantPower_;
     power::Tenant attackerTenant_;
     battery::DualSourcePowerSupply attackerSupply_;
 
@@ -171,6 +220,8 @@ class Simulation
     bool prevFaultsActive_ = false;
     int prevDegradedTier_ = 0;
     bool batteryDepletedLatched_ = false;
+    bool phaseClock_ = false;
+    SlotPhaseTimes phaseTimes_;
 };
 
 /** Factory helpers used across examples and benches. */

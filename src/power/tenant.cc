@@ -10,12 +10,11 @@ namespace ecolo::power {
 
 Tenant::Tenant(std::string name, Kilowatts subscribed_capacity,
                std::size_t num_servers, ServerSpec server_spec)
-    : name_(std::move(name)), subscribed_(subscribed_capacity)
+    : name_(std::move(name)), subscribed_(subscribed_capacity),
+      server_(server_spec), numServers_(num_servers),
+      poweredOn_(num_servers)
 {
     ECOLO_ASSERT(num_servers > 0, "tenant '", name_, "' has no servers");
-    servers_.reserve(num_servers);
-    for (std::size_t i = 0; i < num_servers; ++i)
-        servers_.emplace_back(server_spec);
 }
 
 void
@@ -52,69 +51,76 @@ Tenant::applyTraceAt(MinuteIndex t)
 void
 Tenant::setUtilization(double utilization)
 {
-    for (Server &s : servers_)
-        s.setUtilization(utilization);
+    server_.setUtilization(utilization);
+}
+
+Kilowatts
+Tenant::sumOverPoweredOn(Kilowatts per_server) const
+{
+    Kilowatts total(0.0);
+    for (std::size_t i = 0; i < poweredOn_; ++i)
+        total += per_server;
+    return total;
 }
 
 Kilowatts
 Tenant::demandPower() const
 {
-    Kilowatts total(0.0);
-    for (const Server &s : servers_)
-        total += s.demandPower();
-    return total;
+    return sumOverPoweredOn(server_.demandPower());
 }
 
 Kilowatts
 Tenant::actualPower() const
 {
-    Kilowatts total(0.0);
-    for (const Server &s : servers_)
-        total += s.actualPower();
-    return total;
+    return sumOverPoweredOn(server_.actualPower());
 }
 
 void
 Tenant::setPerServerCap(Kilowatts cap)
 {
-    for (Server &s : servers_)
-        s.setPowerCap(cap);
+    server_.setPowerCap(cap);
 }
 
 void
 Tenant::clearCaps()
 {
-    for (Server &s : servers_)
-        s.clearPowerCap();
+    server_.clearPowerCap();
 }
 
 void
 Tenant::setPoweredOn(bool on)
 {
-    for (Server &s : servers_)
-        s.setPoweredOn(on);
+    poweredOn_ = on ? numServers_ : 0;
+}
+
+void
+Tenant::powerOffLast(std::size_t k)
+{
+    poweredOn_ = std::min(poweredOn_, numServers_ - std::min(k, numServers_));
 }
 
 double
 Tenant::servedFraction() const
 {
-    if (servers_.empty())
-        return 1.0;
+    // An off server serves nothing of a pending load (Server's rule).
+    const double on = server_.servedFraction();
+    const double off = server_.utilization() > 0.0 ? 0.0 : 1.0;
     double sum = 0.0;
-    for (const Server &s : servers_)
-        sum += s.servedFraction();
-    return sum / static_cast<double>(servers_.size());
+    for (std::size_t i = 0; i < poweredOn_; ++i)
+        sum += on;
+    for (std::size_t i = poweredOn_; i < numServers_; ++i)
+        sum += off;
+    return sum / static_cast<double>(numServers_);
 }
 
 double
 Tenant::utilization() const
 {
-    if (servers_.empty())
-        return 0.0;
+    const double u = server_.utilization();
     double sum = 0.0;
-    for (const Server &s : servers_)
-        sum += s.utilization();
-    return sum / static_cast<double>(servers_.size());
+    for (std::size_t i = 0; i < numServers_; ++i)
+        sum += u;
+    return sum / static_cast<double>(numServers_);
 }
 
 double
@@ -125,7 +131,7 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
     for (Tenant *t : tenants) {
         ECOLO_ASSERT(t != nullptr && t->hasTrace(),
                      "computeMeanPowerScaleFactor needs tenants with traces");
-        const ServerSpec &spec = t->server(0).spec();
+        const ServerSpec &spec = t->spec();
         ECOLO_ASSERT(spec.idlePower <= spec.peakPower,
                      "idle power above peak power");
     }
@@ -141,7 +147,7 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
     auto mean_power_for = [&](const MeanPowerLanes &factors) {
         MeanPowerLanes total_kw{};
         for (const Tenant *t : tenants) {
-            const ServerSpec &spec = t->server(0).spec();
+            const ServerSpec &spec = t->spec();
             const MeanPowerLanes tenant_kw = tenantMeanPower(
                 t->traceRef().samples(), spec.idlePower.value(),
                 (spec.peakPower - spec.idlePower).value(),

@@ -2,11 +2,24 @@
  * @file
  * A colocation tenant: a named owner of a group of servers with a subscribed
  * power capacity and a workload trace driving its servers' utilization.
+ *
+ * The servers are one group, not one object each: they share one
+ * utilization, one cap and one spec, and differ only in being on or off.
+ * Servers [0, numPoweredOn()) are on and the rest are off, because
+ * everything that powers servers off (an outage, a hard failure,
+ * commanded shedding) takes them from the back. So the tenant keeps one
+ * representative server and two counts, and every setter is O(1).
+ *
+ * Group sums keep the bits of the per-server sums they replace: a sum
+ * over the servers is one on-server value added numPoweredOn() times in
+ * server order (never a multiply), and an off server's +0.0 is dropped,
+ * which changes no bit of a sum that starts at +0.0.
  */
 
 #ifndef ECOLO_POWER_TENANT_HH
 #define ECOLO_POWER_TENANT_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +31,7 @@
 
 namespace ecolo::power {
 
-/** A tenant and its servers. */
+/** A tenant and its server group. */
 class Tenant
 {
   public:
@@ -28,11 +41,11 @@ class Tenant
     const std::string &name() const { return name_; }
     Kilowatts subscribedCapacity() const { return subscribed_; }
 
-    std::size_t numServers() const { return servers_.size(); }
-    Server &server(std::size_t i) { return servers_.at(i); }
-    const Server &server(std::size_t i) const { return servers_.at(i); }
-    std::vector<Server> &servers() { return servers_; }
-    const std::vector<Server> &servers() const { return servers_; }
+    std::size_t numServers() const { return numServers_; }
+    /** Servers [0, numPoweredOn()) are on; the rest are off. */
+    std::size_t numPoweredOn() const { return poweredOn_; }
+    /** The electrical model every server of the tenant shares. */
+    const ServerSpec &spec() const { return server_.spec(); }
 
     /**
      * Attach the workload trace that drives this tenant's utilization,
@@ -60,12 +73,19 @@ class Tenant
     /** Aggregate power actually drawn (capped / powered-off aware). */
     Kilowatts actualPower() const;
 
+    /** Power each powered-on server draws (capped); off servers draw 0. */
+    Kilowatts serverActualPower() const { return server_.actualPower(); }
+
     /** Apply / clear a per-server power cap on every server. */
     void setPerServerCap(Kilowatts cap);
     void clearCaps();
 
     /** Power every server on/off (outage handling). */
     void setPoweredOn(bool on);
+
+    /** Power off the last k servers (failures and shedding take servers
+     * from the back); servers already off stay off. */
+    void powerOffLast(std::size_t k);
 
     /** Mean served fraction across servers (latency-model input). */
     double servedFraction() const;
@@ -74,9 +94,15 @@ class Tenant
     double utilization() const;
 
   private:
+    /** One on-server value added once per powered-on server, in order. */
+    Kilowatts sumOverPoweredOn(Kilowatts per_server) const;
+
     std::string name_;
     Kilowatts subscribed_;
-    std::vector<Server> servers_;
+    /** The state every powered-on server shares (always powered on). */
+    Server server_;
+    std::size_t numServers_;
+    std::size_t poweredOn_;
     std::shared_ptr<const trace::UtilizationTrace> trace_;
     double scale_ = 1.0;
 };

@@ -22,13 +22,20 @@ ThermalEnvironment::ThermalEnvironment(
 void
 ThermalEnvironment::stepMinute(const std::vector<Kilowatts> &server_heat)
 {
-    ECOLO_ASSERT(server_heat.size() == numServers(),
-                 "heat vector size mismatch: ", server_heat.size(), " vs ",
-                 numServers());
     Kilowatts total(0.0);
     for (Kilowatts h : server_heat)
         total += h;
-    cooling_.step(total, minutes(1));
+    stepMinute(server_heat, total);
+}
+
+void
+ThermalEnvironment::stepMinute(const std::vector<Kilowatts> &server_heat,
+                               Kilowatts total_heat)
+{
+    ECOLO_ASSERT(server_heat.size() == numServers(),
+                 "heat vector size mismatch: ", server_heat.size(), " vs ",
+                 numServers());
+    cooling_.step(total_heat, minutes(1));
     matrixModel_.pushPowers(server_heat);
     matrixModel_.computeAllRises(riseCache_);
     lastHeatKw_.resize(server_heat.size());

@@ -51,6 +51,13 @@ class ThermalEnvironment
 
     /** Advance one minute given every server's actual heat output. */
     void stepMinute(const std::vector<Kilowatts> &server_heat);
+    /**
+     * The same step with the heats' total supplied by a caller that
+     * already has it (the slot loop). `total_heat` must be their sum in
+     * server order starting from +0.0, so both forms give the same bits.
+     */
+    void stepMinute(const std::vector<Kilowatts> &server_heat,
+                    Kilowatts total_heat);
 
     /** Inlet temperature of server i after the last step. */
     Celsius inletTemperature(std::size_t i) const;

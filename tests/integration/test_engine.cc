@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/engine.hh"
+#include "telemetry/telemetry.hh"
+#include "util/state_io.hh"
 
 namespace ecolo::core {
 namespace {
@@ -102,6 +107,44 @@ TEST(Engine, DeterministicForSameSeed)
     ASSERT_EQ(trace_a.size(), trace_b.size());
     for (std::size_t i = 0; i < trace_a.size(); ++i)
         EXPECT_DOUBLE_EQ(trace_a[i], trace_b[i]);
+}
+
+std::string
+serializedState(const Simulation &sim)
+{
+    std::ostringstream os;
+    util::StateWriter writer(os);
+    sim.saveState(writer);
+    return os.str();
+}
+
+TEST(Engine, PhaseClockTimesEverySlotAndMovesNothing)
+{
+    auto config = SimulationConfig::paperDefault();
+    Simulation timed(config, makeMyopicPolicy(config, Kilowatts(7.3)));
+    Simulation plain(config, makeMyopicPolicy(config, Kilowatts(7.3)));
+    timed.setPhaseClock(true);
+    timed.runDays(1.0);
+    plain.runDays(1.0);
+    EXPECT_EQ(serializedState(timed), serializedState(plain));
+
+    const SlotPhaseTimes &times = timed.slotPhaseTimes();
+    EXPECT_EQ(plain.slotPhaseTimes().slots, 0u);
+    if (!telemetry::kCompiledIn) {
+        EXPECT_EQ(times.slots, 0u);
+        return;
+    }
+    EXPECT_EQ(times.slots, static_cast<std::uint64_t>(kMinutesPerDay));
+    std::uint64_t total = 0;
+    for (std::uint64_t ns : times.ns)
+        total += ns;
+    EXPECT_GT(total, 0u);
+    EXPECT_GT(times.ns[static_cast<std::size_t>(SlotPhase::Thermal)], 0u);
+
+    timed.setPhaseClock(false);
+    timed.runDays(1.0);
+    EXPECT_EQ(timed.slotPhaseTimes().slots,
+              static_cast<std::uint64_t>(kMinutesPerDay));
 }
 
 TEST(Engine, StreamingThermalModeMatchesDense)

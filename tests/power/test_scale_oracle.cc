@@ -64,7 +64,7 @@ oracleScaleFactor(const std::vector<Tenant *> &tenants,
         double total_kw = 0.0;
         for (const Tenant *t : tenants) {
             const auto &samples = t->traceRef().samples();
-            const ServerSpec &spec = t->server(0).spec();
+            const ServerSpec &spec = t->spec();
             const double n = static_cast<double>(t->numServers());
             double tenant_kw = 0.0;
             for (double u : samples) {
@@ -183,7 +183,7 @@ approxMeanPower(const std::vector<Tenant *> &tenants, double f)
     for (const Tenant *t : tenants) {
         double sum = 0.0;
         for (double u : t->traceRef().samples())
-            sum += t->server(0).spec().powerAt(u * f).value();
+            sum += t->spec().powerAt(u * f).value();
         total += sum * static_cast<double>(t->numServers()) /
                  static_cast<double>(t->traceRef().size());
     }
@@ -201,7 +201,7 @@ targetFor(const std::vector<Tenant *> &tenants, Target which)
     const double at_one = approxMeanPower(tenants, 1.0);
     double peak_kw = 0.0;
     for (const Tenant *t : tenants)
-        peak_kw += t->server(0).spec().peakPower.value() *
+        peak_kw += t->spec().peakPower.value() *
                    static_cast<double>(t->numServers());
     switch (which) {
       case Target::BelowOne:

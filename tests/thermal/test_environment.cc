@@ -133,6 +133,31 @@ TEST(Environment, OutletScalesWithServerHeat)
     EXPECT_NEAR(cool_rise, 100.0 / 15.0, 1e-9);
 }
 
+TEST(Environment, SuppliedTotalMatchesComputedTotalBitForBit)
+{
+    // The slot loop hands over the total it already summed; an overload
+    // (12 kW on 8 kW) exercises the cooling path that reads it.
+    auto computed = makeEnv();
+    auto supplied = makeEnv();
+    std::vector<Kilowatts> heat(40, Kilowatts(0.0));
+    for (int m = 0; m < 60; ++m) {
+        Kilowatts total(0.0);
+        for (std::size_t i = 0; i < heat.size(); ++i) {
+            heat[i] = Kilowatts(0.1 + 0.01 * static_cast<double>(
+                                          (i * 7 + m) % 29));
+            total += heat[i];
+        }
+        computed.stepMinute(heat);
+        supplied.stepMinute(heat, total);
+        ASSERT_EQ(computed.supplyTemperature().value(),
+                  supplied.supplyTemperature().value());
+        for (std::size_t i = 0; i < heat.size(); ++i)
+            ASSERT_EQ(computed.inletTemperature(i).value(),
+                      supplied.inletTemperature(i).value());
+    }
+    EXPECT_GT(computed.supplyTemperature().value(), 27.0);
+}
+
 TEST(Environment, OutletBeforeAnyStepIsInlet)
 {
     auto env = makeEnv();
