@@ -179,13 +179,6 @@ SimulationConfig::validated() const
                            emergencySustainMinutes, ", capping ",
                            cappingMinutes, ")");
     }
-    if (!externalBenignTraces.empty() &&
-        externalBenignTraces.size() != numBenignTenants) {
-        return ECOLO_ERROR(ErrorCode::ValidationError,
-                           "externalBenignTraces must hold exactly ",
-                           numBenignTenants, " traces, got ",
-                           externalBenignTraces.size());
-    }
     return {};
 }
 

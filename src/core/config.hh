@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "battery/battery.hh"
 #include "faults/schedule.hh"
@@ -107,14 +106,6 @@ struct SimulationConfig
     trace::DiurnalTraceGenerator::Params diurnalParams{};
     /** Shape of the alternate trace. */
     trace::GoogleStyleTraceGenerator::Params googleParams{};
-    /**
-     * Optional externally supplied per-tenant utilization traces (e.g.
-     * loaded with trace::loadTrace from real logs). When non-empty, must
-     * hold exactly numBenignTenants traces; they are scaled jointly to
-     * the configured average utilization and used instead of the
-     * synthetic generators.
-     */
-    std::vector<trace::UtilizationTrace> externalBenignTraces{};
 
     // ---- Side channel & performance ----
     sidechannel::SideChannelParams sideChannel{};

@@ -192,15 +192,10 @@ Simulation::buildTenants()
     // traces were generated by this simulation.
     Rng trace_rng = rng_.fork();
     SetupCache &cache = *config_.setupCache;
-    // External traces are not derivable from the config, so no cache
-    // key describes them: they get a private set and a direct solve.
-    const bool external = !config_.externalBenignTraces.empty();
     const std::shared_ptr<const SetupCache::TraceSet> traces =
-        external ? std::make_shared<const SetupCache::TraceSet>(
-                       config_.externalBenignTraces)
-                 : cache.traceSet(SetupCache::traceSetKey(config_), [&] {
-                       return makeBenignTraceSet(config_, trace_rng);
-                   });
+        cache.traceSet(SetupCache::traceSetKey(config_), [&] {
+            return makeBenignTraceSet(config_, trace_rng);
+        });
     // Each tenant points into the shared set (the aliasing pointer keeps
     // the whole set alive) and applies the site's scale factor at read
     // time, so no member copies or rescales a trace.
@@ -229,13 +224,10 @@ Simulation::buildTenants()
         config_.capacity * config_.averageUtilization - attacker_standby;
     ECOLO_ASSERT(target.value() > 0.0,
                  "average utilization target leaves no benign power");
-    const auto solve = [&] {
-        return power::computeMeanPowerScaleFactor(tenant_ptrs, target);
-    };
     const double factor =
-        external ? solve()
-                 : cache.scaleFactor(SetupCache::scaleFactorKey(config_),
-                                     solve);
+        cache.scaleFactor(SetupCache::scaleFactorKey(config_), [&] {
+            return power::computeMeanPowerScaleFactor(tenant_ptrs, target);
+        });
     for (std::size_t k = 0; k < benignTenants_.size(); ++k)
         benignTenants_[k].setTrace(tenant_trace(k), factor);
 }

@@ -16,13 +16,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/engine.hh"
-#include "core/version.hh"
-#include "util/result.hh"
-#include "util/state_io.hh"
 
 namespace ecolo::core {
 
@@ -75,51 +71,18 @@ class FleetSimulation
     const Simulation &site(std::size_t i) const { return *sites_.at(i); }
     MinuteIndex strikeMinute() const { return strikeMinute_; }
 
-    /** Sites currently in outage. */
-    std::size_t sitesDownNow() const;
-
     /** Minutes simulated so far. */
     MinuteIndex now() const { return now_; }
 
-    /**
-     * Atomically persist the complete campaign state -- a config
-     * fingerprint, the aggregate result, and every site's full
-     * simulation state -- to `path` (written to `path + ".tmp"` first,
-     * then renamed, so a crash mid-write never clobbers the previous
-     * good checkpoint). A fleet constructed with the same parameters
-     * and restored via loadCheckpoint continues bit-identically to the
-     * uninterrupted campaign. The fingerprint includes the engine
-     * schema version (core/version.hh); @param schema_version exists
-     * for regression tests only.
-     */
-    util::Result<void>
-    saveCheckpoint(const std::string &path,
-                   std::uint32_t schema_version =
-                       kEngineSchemaVersion) const;
-
-    /**
-     * Restore a checkpoint written by saveCheckpoint into this (freshly
-     * constructed, same-parameters) fleet. Fails with a structured error
-     * on I/O problems, corrupt data, or a config fingerprint mismatch;
-     * after a failure the fleet may be partially restored and should be
-     * discarded (callers typically rebuild and cold-start instead of
-     * dying -- that is the graceful-degradation contract).
-     */
-    util::Result<void>
-    loadCheckpoint(const std::string &path,
-                   std::uint32_t schema_version = kEngineSchemaVersion);
-
   private:
     std::vector<std::unique_ptr<Simulation>> sites_;
-    std::vector<bool> downNow_;
     MinuteIndex strikeMinute_;
     MinuteIndex now_ = 0;
     FleetResult result_;
     /**
      * Per-site outage-flag scratch reused across run() calls (rows keep
-     * their capacity), so the steady-state campaign loop -- e.g. a
-     * checkpointing driver calling run() in small chunks -- allocates
-     * nothing per chunk once warm.
+     * their capacity), so a driver calling run() in small chunks
+     * allocates nothing per chunk once warm.
      */
     std::vector<std::vector<unsigned char>> downScratch_;
 };

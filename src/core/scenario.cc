@@ -169,17 +169,6 @@ tryApplyScenario(const KeyValueConfig &kv, SimulationConfig &config,
     return config.validated();
 }
 
-util::Result<SimulationConfig>
-tryLoadScenarioFile(const std::string &path)
-{
-    SimulationConfig config = SimulationConfig::paperDefault();
-    auto kv = KeyValueConfig::tryParseFile(path);
-    if (!kv.ok())
-        return kv.error();
-    ECOLO_TRY_VOID(tryApplyScenario(kv.value(), config));
-    return config;
-}
-
 void
 applyScenario(const KeyValueConfig &kv, SimulationConfig &config,
               bool allow_unknown)
@@ -187,15 +176,6 @@ applyScenario(const KeyValueConfig &kv, SimulationConfig &config,
     if (const auto result = tryApplyScenario(kv, config, allow_unknown);
         !result.ok())
         ECOLO_FATAL(result.error().message);
-}
-
-SimulationConfig
-loadScenarioFile(const std::string &path)
-{
-    auto result = tryLoadScenarioFile(path);
-    if (!result.ok())
-        ECOLO_FATAL(result.error().message);
-    return result.take();
 }
 
 void

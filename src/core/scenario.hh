@@ -1,8 +1,9 @@
 /**
  * @file
- * Scenario files: load/override a SimulationConfig from key=value text, so
- * experiments can be described declaratively (used by the CLI tool and
- * user scripts).
+ * Scenario files: override a SimulationConfig from key=value text, so
+ * experiments can be described declaratively. A file is read with
+ * KeyValueConfig::parseFile and applied with applyScenario, which is how
+ * the CLI's --scenario and --set load it.
  *
  * Recognized keys (all optional; defaults are Table I):
  *
@@ -29,7 +30,6 @@
 #define ECOLO_CORE_SCENARIO_HH
 
 #include <iosfwd>
-#include <string>
 
 #include "core/config.hh"
 #include "util/keyvalue.hh"
@@ -49,16 +49,9 @@ util::Result<void> tryApplyScenario(const KeyValueConfig &kv,
                                     SimulationConfig &config,
                                     bool allow_unknown = false);
 
-/** Load Table I defaults + a scenario file, with structured errors. */
-util::Result<SimulationConfig>
-tryLoadScenarioFile(const std::string &path);
-
 /** Legacy wrapper around tryApplyScenario; ECOLO_FATAL on any error. */
 void applyScenario(const KeyValueConfig &kv, SimulationConfig &config,
                    bool allow_unknown = false);
-
-/** Load Table I defaults + a scenario file; ECOLO_FATAL on any error. */
-SimulationConfig loadScenarioFile(const std::string &path);
 
 /** Human-readable dump of a configuration (CLI --describe). */
 void describeConfig(std::ostream &os, const SimulationConfig &config);

@@ -83,9 +83,9 @@ class SetupCache
     // ---- Key derivation -------------------------------------------------
     // Each key hashes exactly the config fields the artifact is a
     // function of (doubles by bit pattern), so two configs collide on a
-    // key only when the artifact is provably identical. Callers must
-    // not use traceSetKey/scaleFactorKey when externalBenignTraces is
-    // set (the traces are not derivable from the config).
+    // key only when the artifact is provably identical. A caller that
+    // brings its own traces prefills traceSet under traceSetKey before
+    // the simulation is built, and the engine takes them from there.
 
     /** Generated benign traces: seed, trace kind, tenant count, and the
      * active generator's shape parameters. */

@@ -79,12 +79,6 @@ AirflowAudit::flaggedServers() const
     return flagged;
 }
 
-double
-AirflowAudit::excessEwma(std::size_t server) const
-{
-    return ewma_.at(server);
-}
-
 void
 AirflowAudit::reset()
 {

@@ -112,8 +112,6 @@ class AirflowAudit
     /** Servers currently flagged as emitting behind-the-meter heat. */
     std::vector<std::size_t> flaggedServers() const;
 
-    double excessEwma(std::size_t server) const;
-
     void reset();
 
   private:

@@ -39,30 +39,6 @@ parseChaosOp(const std::string &name)
                        "' (want read|write|both)");
 }
 
-const char *
-toString(ChaosKind kind)
-{
-    switch (kind) {
-    case ChaosKind::Delay: return "delay";
-    case ChaosKind::ShortOp: return "short_op";
-    case ChaosKind::Drop: return "drop";
-    case ChaosKind::Reset: return "reset";
-    case ChaosKind::Truncate: return "truncate";
-    }
-    return "unknown";
-}
-
-const char *
-toString(ChaosOp op)
-{
-    switch (op) {
-    case ChaosOp::Read: return "read";
-    case ChaosOp::Write: return "write";
-    case ChaosOp::Both: return "both";
-    }
-    return "unknown";
-}
-
 util::Result<void>
 ChaosRule::validated() const
 {

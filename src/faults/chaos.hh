@@ -61,8 +61,6 @@ enum class ChaosOp : std::uint8_t
 
 util::Result<ChaosKind> parseChaosKind(const std::string &name);
 util::Result<ChaosOp> parseChaosOp(const std::string &name);
-const char *toString(ChaosKind kind);
-const char *toString(ChaosOp op);
 
 /** One chaos rule; exactly one of probability/everyOps selects firing. */
 struct ChaosRule

@@ -47,13 +47,6 @@ DataCenterLayout::inletPositionOf(std::size_t server_index) const
     return pos;
 }
 
-Position
-DataCenterLayout::crakPosition() const
-{
-    return Position{params_.crakX, params_.containerWidth * 0.5,
-                    params_.containerHeight * 0.5};
-}
-
 double
 DataCenterLayout::airVolume() const
 {

@@ -66,9 +66,6 @@ class DataCenterLayout
     /** Physical position of a server's air inlet. */
     Position inletPositionOf(std::size_t server_index) const;
 
-    /** Physical position of the CRAC supply vent. */
-    Position crakPosition() const;
-
     const Params &params() const { return params_; }
 
     /** Container air volume in cubic meters (for the lumped room model). */

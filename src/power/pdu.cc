@@ -25,18 +25,6 @@ Pdu::addCircuit(std::string tenant_name, Kilowatts subscription,
     return circuits_.size() - 1;
 }
 
-const std::string &
-Pdu::circuitName(std::size_t i) const
-{
-    return circuits_.at(i).name;
-}
-
-Kilowatts
-Pdu::circuitSubscription(std::size_t i) const
-{
-    return circuits_.at(i).subscription;
-}
-
 void
 Pdu::setCircuitDraw(std::size_t i, Kilowatts grid_power)
 {

@@ -59,8 +59,6 @@ class Pdu
                            double meter_noise = 0.0);
 
     std::size_t numCircuits() const { return circuits_.size(); }
-    const std::string &circuitName(std::size_t i) const;
-    Kilowatts circuitSubscription(std::size_t i) const;
 
     /** Record the grid draw on circuit i for the current slot. */
     void setCircuitDraw(std::size_t i, Kilowatts grid_power);

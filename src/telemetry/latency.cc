@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace ecolo::telemetry {
 
@@ -141,16 +140,6 @@ TailLatency::appendJson(std::ostream &os) const
         appendJsonNumber(os, value);
         os << "}";
     }
-}
-
-std::string
-TailLatency::textValue() const
-{
-    const Snapshot s = snapshot();
-    std::ostringstream oss;
-    oss << "n=" << s.count << " mean=" << s.mean << " p50=" << s.p50
-        << " p99=" << s.p99 << " max=" << s.max;
-    return oss.str();
 }
 
 } // namespace ecolo::telemetry

@@ -60,7 +60,6 @@ class TailLatency : public StatBase
     std::uint64_t count() const;
 
     void appendJson(std::ostream &os) const override;
-    std::string textValue() const override;
     void reset() override;
 
   private:

@@ -9,7 +9,6 @@
 
 #include "telemetry/latency.hh"
 #include "util/logging.hh"
-#include "util/table.hh"
 
 namespace ecolo::telemetry {
 
@@ -67,8 +66,6 @@ toString(StatKind kind)
         return "counter";
       case StatKind::Gauge:
         return "gauge";
-      case StatKind::Scalar:
-        return "scalar";
       case StatKind::Histogram:
         return "histogram";
       case StatKind::Tail:
@@ -88,26 +85,18 @@ statValue(const StatBase *stat)
             static_cast<const Counter *>(stat)->value());
       case StatKind::Gauge:
         return static_cast<const Gauge *>(stat)->value();
-      case StatKind::Scalar:
-        return static_cast<const ScalarStat *>(stat)->value();
       default:
         return std::numeric_limits<double>::quiet_NaN();
     }
 }
 
-// ---- Counter / Gauge / ScalarStat ----
+// ---- Counter / Gauge ----
 
 void
 Counter::appendJson(std::ostream &os) const
 {
     os << "\"" << name() << "\":{\"kind\":\"counter\",\"value\":"
        << value() << "}";
-}
-
-std::string
-Counter::textValue() const
-{
-    return std::to_string(value());
 }
 
 void
@@ -122,30 +111,6 @@ Gauge::appendJson(std::ostream &os) const
     os << "\"" << name() << "\":{\"kind\":\"gauge\",\"value\":";
     appendJsonNumber(os, value());
     os << "}";
-}
-
-std::string
-Gauge::textValue() const
-{
-    std::ostringstream oss;
-    oss << value();
-    return oss.str();
-}
-
-void
-ScalarStat::appendJson(std::ostream &os) const
-{
-    os << "\"" << name() << "\":{\"kind\":\"scalar\",\"value\":";
-    appendJsonNumber(os, value());
-    os << "}";
-}
-
-std::string
-ScalarStat::textValue() const
-{
-    std::ostringstream oss;
-    oss << value();
-    return oss.str();
 }
 
 // ---- TelemetryHistogram ----
@@ -251,17 +216,6 @@ TelemetryHistogram::appendJson(std::ostream &os) const
     os << "]}";
 }
 
-std::string
-TelemetryHistogram::textValue() const
-{
-    std::ostringstream oss;
-    oss << "n=" << count() << " mean=" << mean() << " min=" << min()
-        << " max=" << max();
-    if (rejected() > 0)
-        oss << " rejected=" << rejected();
-    return oss.str();
-}
-
 void
 TelemetryHistogram::reset()
 {
@@ -333,12 +287,6 @@ Registry::gauge(const std::string &name)
     return getOrCreate<Gauge>(name, StatKind::Gauge);
 }
 
-ScalarStat &
-Registry::scalar(const std::string &name)
-{
-    return getOrCreate<ScalarStat>(name, StatKind::Scalar);
-}
-
 TelemetryHistogram &
 Registry::histogram(const std::string &name)
 {
@@ -364,16 +312,6 @@ Registry::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_.size();
-}
-
-void
-Registry::dumpText(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    TextTable table({"stat", "kind", "value"});
-    for (const auto &[name, stat] : stats_)
-        table.addRow(name, toString(stat->kind()), stat->textValue());
-    table.print(os);
 }
 
 void

@@ -2,16 +2,14 @@
  * @file
  * The gem5-style stats side of the observability layer: nameable,
  * hierarchical simulation statistics collected into a Registry and dumped
- * as aligned text or machine-readable JSON.
+ * as machine-readable JSON.
  *
- * Five stat kinds cover what the simulator needs:
+ * Four stat kinds cover what the simulator needs:
  *
  * - Counter:    monotonically increasing event count
  *               (`engine.emergency.declared`).
  * - Gauge:      last-written or accumulated instantaneous value
  *               (`battery.soc`, `serve.queue.depth`).
- * - ScalarStat: a computed result written once per run
- *               (`engine.emergency.fraction`).
  * - Histogram:  fixed log-scale (base-2) buckets plus count/sum/min/max,
  *               for durations and error magnitudes
  *               (`sidechannel.estimate_error_kw`, `profile.*_us`).
@@ -53,7 +51,6 @@ enum class StatKind
 {
     Counter,
     Gauge,
-    Scalar,
     Histogram,
     Tail,
 };
@@ -83,8 +80,6 @@ class StatBase
      * commas); a tail appends several flat members.
      */
     virtual void appendJson(std::ostream &os) const = 0;
-    /** One-line human-readable rendering for the text dump. */
-    virtual std::string textValue() const = 0;
     /** Drop accumulated values (tests / repeated harness runs). */
     virtual void reset() = 0;
 
@@ -107,7 +102,6 @@ class Counter : public StatBase
     { return value_.load(std::memory_order_relaxed); }
 
     void appendJson(std::ostream &os) const override;
-    std::string textValue() const override;
     void reset() override { value_.store(0, std::memory_order_relaxed); }
 
   private:
@@ -128,26 +122,6 @@ class Gauge : public StatBase
     double value() const { return value_.load(std::memory_order_relaxed); }
 
     void appendJson(std::ostream &os) const override;
-    std::string textValue() const override;
-    void reset() override { value_.store(0.0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
-/** A computed per-run result (set once when the run summarizes itself). */
-class ScalarStat : public StatBase
-{
-  public:
-    explicit ScalarStat(std::string name)
-        : StatBase(std::move(name), StatKind::Scalar)
-    {}
-
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double value() const { return value_.load(std::memory_order_relaxed); }
-
-    void appendJson(std::ostream &os) const override;
-    std::string textValue() const override;
     void reset() override { value_.store(0.0, std::memory_order_relaxed); }
 
   private:
@@ -194,7 +168,6 @@ class TelemetryHistogram : public StatBase
     double max() const;
 
     void appendJson(std::ostream &os) const override;
-    std::string textValue() const override;
     void reset() override;
 
   private:
@@ -209,8 +182,8 @@ class TelemetryHistogram : public StatBase
 class TailLatency;
 
 /**
- * The numeric value of a counter, gauge or scalar; NaN for a null
- * pointer or a multi-valued stat (histogram, tail).
+ * The numeric value of a counter or gauge; NaN for a null pointer or a
+ * multi-valued stat (histogram, tail).
  */
 double statValue(const StatBase *stat);
 
@@ -225,7 +198,6 @@ class Registry
   public:
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    ScalarStat &scalar(const std::string &name);
     TelemetryHistogram &histogram(const std::string &name);
     /**
      * A tail-latency stat; `unit` suffixes its dumped entries except
@@ -241,8 +213,6 @@ class Registry
     /** True iff `name` is a legal dotted stat name. */
     static bool validName(const std::string &name);
 
-    /** Aligned name/kind/value table, sorted by name. */
-    void dumpText(std::ostream &os) const;
     /** One JSON object keyed by stat name, sorted, schema-versioned. */
     void dumpJson(std::ostream &os) const;
     /**

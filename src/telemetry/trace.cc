@@ -80,12 +80,6 @@ TraceSession::end()
 }
 
 std::uint64_t
-TraceSession::nowUs() const
-{
-    return toUs(std::chrono::steady_clock::now());
-}
-
-std::uint64_t
 TraceSession::toUs(std::chrono::steady_clock::time_point t) const
 {
     if (t < epoch_)

@@ -60,8 +60,6 @@ class TraceSession
     /** Stop collecting (events are retained for writing). */
     void end();
 
-    /** Microseconds since begin() on the session's steady clock. */
-    std::uint64_t nowUs() const;
     /** Convert a steady-clock instant to microseconds since begin(). */
     std::uint64_t toUs(std::chrono::steady_clock::time_point t) const;
 

@@ -1,7 +1,5 @@
 #include "thermal/cfd/field.hh"
 
-#include <algorithm>
-
 namespace ecolo::thermal {
 
 double
@@ -13,14 +11,6 @@ Field3::mean() const
     for (double v : data_)
         sum += v;
     return sum / static_cast<double>(data_.size());
-}
-
-double
-Field3::max() const
-{
-    if (data_.empty())
-        return 0.0;
-    return *std::max_element(data_.begin(), data_.end());
 }
 
 } // namespace ecolo::thermal

@@ -46,7 +46,6 @@ class Field3
     void fill(double value) { data_.assign(data_.size(), value); }
 
     double mean() const;
-    double max() const;
 
     const std::vector<double> &raw() const { return data_; }
     std::vector<double> &raw() { return data_; }

@@ -215,40 +215,4 @@ RequestTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
     return UtilizationTrace(std::move(samples));
 }
 
-UtilizationTrace
-ConstantTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
-{
-    (void)rng;
-    ECOLO_ASSERT(num_minutes > 0, "cannot generate an empty trace");
-    return UtilizationTrace(
-        std::vector<double>(num_minutes, std::clamp(level_, 0.0, 1.0)));
-}
-
-UtilizationTrace
-scaleToMeanUtilization(UtilizationTrace trace, double target_mean)
-{
-    ECOLO_ASSERT(target_mean > 0.0 && target_mean <= 1.0,
-                 "target mean out of (0,1]: ", target_mean);
-    ECOLO_ASSERT(!trace.empty(), "cannot scale an empty trace");
-    ECOLO_ASSERT(trace.mean() > 0.0, "cannot scale an all-zero trace");
-
-    // Multiplicative scaling followed by clamping shifts the achieved mean;
-    // a few fixed-point refinements converge for any realistic trace.
-    std::vector<double> base = trace.samples();
-    double factor = target_mean / trace.mean();
-    for (int iter = 0; iter < 20; ++iter) {
-        double sum = 0.0;
-        for (double s : base)
-            sum += std::clamp(s * factor, 0.0, 1.0);
-        const double mean = sum / static_cast<double>(base.size());
-        if (std::abs(mean - target_mean) < 1e-4 * target_mean)
-            break;
-        factor *= target_mean / std::max(mean, 1e-12);
-    }
-    std::vector<double> scaled(base.size());
-    for (std::size_t i = 0; i < base.size(); ++i)
-        scaled[i] = std::clamp(base[i] * factor, 0.0, 1.0);
-    return UtilizationTrace(std::move(scaled));
-}
-
 } // namespace ecolo::trace

@@ -140,28 +140,6 @@ class RequestTraceGenerator : public TraceGenerator
     Params params_;
 };
 
-/** Constant-utilization generator (tests and controlled experiments). */
-class ConstantTraceGenerator : public TraceGenerator
-{
-  public:
-    explicit ConstantTraceGenerator(double level) : level_(level) {}
-
-    UtilizationTrace generate(std::size_t num_minutes,
-                              Rng &rng) const override;
-
-  private:
-    double level_;
-};
-
-/**
- * Rescale a utilization trace so its mean matches target_mean while staying
- * in [0, 1]. Clamping perturbs the mean, so the scale factor is refined
- * iteratively; the result is within ~0.1% of the target for realistic
- * traces.
- */
-UtilizationTrace scaleToMeanUtilization(UtilizationTrace trace,
-                                        double target_mean);
-
 } // namespace ecolo::trace
 
 #endif // ECOLO_TRACE_GENERATORS_HH

@@ -45,58 +45,4 @@ UtilizationTrace::peak() const
     return best;
 }
 
-void
-UtilizationTrace::clampAll(double lo, double hi)
-{
-    for (double &s : samples_)
-        s = std::clamp(s, lo, hi);
-}
-
-PowerTrace::PowerTrace(std::vector<Kilowatts> samples)
-    : samples_(std::move(samples))
-{
-}
-
-Kilowatts
-PowerTrace::at(MinuteIndex t) const
-{
-    ECOLO_ASSERT(!samples_.empty(), "empty power trace");
-    const auto n = static_cast<MinuteIndex>(samples_.size());
-    MinuteIndex i = t % n;
-    if (i < 0)
-        i += n;
-    return samples_[static_cast<std::size_t>(i)];
-}
-
-Kilowatts
-PowerTrace::mean() const
-{
-    if (samples_.empty())
-        return Kilowatts(0.0);
-    Kilowatts sum(0.0);
-    for (Kilowatts s : samples_)
-        sum += s;
-    return sum / static_cast<double>(samples_.size());
-}
-
-Kilowatts
-PowerTrace::peak() const
-{
-    Kilowatts best(0.0);
-    for (Kilowatts s : samples_)
-        best = std::max(best, s);
-    return best;
-}
-
-PowerTrace &
-PowerTrace::operator+=(const PowerTrace &other)
-{
-    ECOLO_ASSERT(size() == other.size(),
-                 "summing traces of different lengths: ", size(), " vs ",
-                 other.size());
-    for (std::size_t i = 0; i < samples_.size(); ++i)
-        samples_[i] += other.samples_[i];
-    return *this;
-}
-
 } // namespace ecolo::trace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Utilization and power time series at one-minute resolution.
+ * Utilization time series at one-minute resolution.
  *
  * Tenant workloads are represented as utilization traces (fraction of the
  * tenant's compute capacity in use, in [0, 1]); the power subsystem maps
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "util/sim_time.hh"
-#include "util/units.hh"
 
 namespace ecolo::trace {
 
@@ -43,42 +42,11 @@ class UtilizationTrace
     double mean() const;
     double peak() const;
 
-    /** Clamp all samples into [lo, hi]. */
-    void clampAll(double lo, double hi);
-
     const std::vector<double> &samples() const { return samples_; }
     std::vector<double> &samples() { return samples_; }
 
   private:
     std::vector<double> samples_;
-};
-
-/** Per-minute power series in kilowatts (e.g., a tenant's metered power). */
-class PowerTrace
-{
-  public:
-    PowerTrace() = default;
-    explicit PowerTrace(std::vector<Kilowatts> samples);
-
-    std::size_t size() const { return samples_.size(); }
-    bool empty() const { return samples_.empty(); }
-
-    /** Power at minute t; wraps beyond the end like UtilizationTrace. */
-    Kilowatts at(MinuteIndex t) const;
-
-    Kilowatts &operator[](std::size_t i) { return samples_[i]; }
-    Kilowatts operator[](std::size_t i) const { return samples_[i]; }
-
-    Kilowatts mean() const;
-    Kilowatts peak() const;
-
-    /** Element-wise sum; traces must have equal length. */
-    PowerTrace &operator+=(const PowerTrace &other);
-
-    const std::vector<Kilowatts> &samples() const { return samples_; }
-
-  private:
-    std::vector<Kilowatts> samples_;
 };
 
 } // namespace ecolo::trace

@@ -1,7 +1,5 @@
 #include "util/keyvalue.hh"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <sstream>
 
@@ -100,12 +98,6 @@ KeyValueConfig::set(const std::string &key, const std::string &value)
     values_[key] = Entry{value, 0};
 }
 
-bool
-KeyValueConfig::has(const std::string &key) const
-{
-    return values_.count(key) > 0;
-}
-
 std::map<std::string, std::string>
 KeyValueConfig::entries() const
 {
@@ -164,25 +156,6 @@ KeyValueConfig::tryGetInt(const std::string &key) const
     }
 }
 
-util::Result<std::optional<bool>>
-KeyValueConfig::tryGetBool(const std::string &key) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return std::optional<bool>{};
-    consumed_.insert(key);
-    std::string v = it->second.value;
-    std::transform(v.begin(), v.end(), v.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return std::optional<bool>{true};
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return std::optional<bool>{false};
-    return ECOLO_ERROR(util::ErrorCode::ParseError, locate(key),
-                       ": config key '", key, "' is not a boolean: '",
-                       it->second.value, "'");
-}
-
 std::optional<double>
 KeyValueConfig::getDouble(const std::string &key) const
 {
@@ -196,15 +169,6 @@ std::optional<long>
 KeyValueConfig::getInt(const std::string &key) const
 {
     auto result = tryGetInt(key);
-    if (!result.ok())
-        ECOLO_FATAL(result.error().message);
-    return result.take();
-}
-
-std::optional<bool>
-KeyValueConfig::getBool(const std::string &key) const
-{
-    auto result = tryGetBool(key);
     if (!result.ok())
         ECOLO_FATAL(result.error().message);
     return result.take();

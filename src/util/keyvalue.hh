@@ -53,8 +53,6 @@ class KeyValueConfig
     /** Programmatic insertion (CLI overrides). */
     void set(const std::string &key, const std::string &value);
 
-    bool has(const std::string &key) const;
-
     /**
      * Structured typed getters; the outer Result fails when the key is
      * present but unparseable, the inner optional is empty when the key
@@ -64,8 +62,6 @@ class KeyValueConfig
     tryGetDouble(const std::string &key) const;
     util::Result<std::optional<long>>
     tryGetInt(const std::string &key) const;
-    util::Result<std::optional<bool>>
-    tryGetBool(const std::string &key) const;
 
     /**
      * Typed getters; return std::nullopt when absent, ECOLO_FATAL when
@@ -74,7 +70,6 @@ class KeyValueConfig
      */
     std::optional<double> getDouble(const std::string &key) const;
     std::optional<long> getInt(const std::string &key) const;
-    std::optional<bool> getBool(const std::string &key) const;
     std::optional<std::string> getString(const std::string &key) const;
 
     /** Keys that were never read (typos); empty means all consumed. */

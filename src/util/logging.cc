@@ -41,22 +41,6 @@ parseLogLevel(const std::string &name, LogLevel &out)
     return true;
 }
 
-const char *
-toString(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Error:
-        return "error";
-      case LogLevel::Warn:
-        return "warn";
-      case LogLevel::Info:
-        return "info";
-      case LogLevel::Debug:
-        return "debug";
-    }
-    return "unknown";
-}
-
 namespace detail {
 
 void

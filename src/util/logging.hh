@@ -50,7 +50,6 @@ LogLevel logLevel();
  * false and leaves `out` untouched on anything else.
  */
 bool parseLogLevel(const std::string &name, LogLevel &out);
-const char *toString(LogLevel level);
 
 namespace detail {
 

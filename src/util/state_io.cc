@@ -80,22 +80,6 @@ StateWriter::str(const std::string &s)
 }
 
 void
-StateWriter::u64Vector(const std::vector<std::uint64_t> &v)
-{
-    u64(v.size());
-    for (std::uint64_t x : v)
-        u64(x);
-}
-
-void
-StateWriter::i64Vector(const std::vector<std::int64_t> &v)
-{
-    u64(v.size());
-    for (std::int64_t x : v)
-        i64(x);
-}
-
-void
 StateWriter::f64Vector(const std::vector<double> &v)
 {
     u64(v.size());
@@ -239,23 +223,6 @@ StateReader::u64Vector()
     for (auto &x : v)
         x = u64();
     return status_.ok() ? v : std::vector<std::uint64_t>{};
-}
-
-std::vector<std::int64_t>
-StateReader::i64Vector()
-{
-    const std::uint64_t size = u64();
-    if (!status_.ok() || size > kMaxVectorElements) {
-        if (status_.ok())
-            status_ = ECOLO_ERROR(ErrorCode::StateError,
-                                  "checkpoint vector length corrupt: ",
-                                  size);
-        return {};
-    }
-    std::vector<std::int64_t> v(size);
-    for (auto &x : v)
-        x = i64();
-    return status_.ok() ? v : std::vector<std::int64_t>{};
 }
 
 std::vector<double>

@@ -47,8 +47,6 @@ class StateWriter
     void boolean(bool v);
     void str(const std::string &s);
 
-    void u64Vector(const std::vector<std::uint64_t> &v);
-    void i64Vector(const std::vector<std::int64_t> &v);
     void f64Vector(const std::vector<double> &v);
     void sizeVector(const std::vector<std::size_t> &v);
 
@@ -81,7 +79,6 @@ class StateReader
     std::string str();
 
     std::vector<std::uint64_t> u64Vector();
-    std::vector<std::int64_t> i64Vector();
     std::vector<double> f64Vector();
     std::vector<std::size_t> sizeVector();
 

@@ -8,7 +8,6 @@
 
 #include "core/checkpoint.hh"
 #include "core/engine.hh"
-#include "core/fleet.hh"
 #include "core/version.hh"
 #include "util/state_io.hh"
 
@@ -185,110 +184,6 @@ TEST_F(SimCheckpointFileTest, PolicyNameMismatchRejected)
         loadSimulationCheckpoint(path_, resumed, "standby");
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().code, util::ErrorCode::StateError);
-}
-
-class FleetCheckpointTest : public ::testing::Test
-{
-  protected:
-    static constexpr std::size_t kSites = 3;
-    static constexpr MinuteIndex kStrike = 300;
-
-    FleetSimulation makeFleet() const
-    {
-        return FleetSimulation(smallConfig(), kSites, kStrike,
-                               Kilowatts(5.0));
-    }
-
-    std::string path_ =
-        ::testing::TempDir() + "edgetherm_fleet_checkpoint_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".bin";
-
-    void TearDown() override { std::remove(path_.c_str()); }
-};
-
-TEST_F(FleetCheckpointTest, KillAndResumeMatchesUninterrupted)
-{
-    auto reference = makeFleet();
-    reference.run(1000);
-
-    {
-        auto first = makeFleet();
-        first.run(400);
-        const auto saved = first.saveCheckpoint(path_);
-        ASSERT_TRUE(saved.ok()) << saved.error().describe();
-        // `first` goes out of scope here: the "crash".
-    }
-
-    auto resumed = makeFleet();
-    const auto loaded = resumed.loadCheckpoint(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().describe();
-    EXPECT_EQ(resumed.now(), 400);
-    resumed.run(600);
-
-    const auto &a = reference.result();
-    const auto &b = resumed.result();
-    EXPECT_EQ(a.sitesWithOutage, b.sitesWithOutage);
-    EXPECT_EQ(a.maxSimultaneousOutages, b.maxSimultaneousOutages);
-    EXPECT_EQ(a.wideAreaInterruptionMinutes,
-              b.wideAreaInterruptionMinutes);
-    EXPECT_EQ(a.firstOutageDelay, b.firstOutageDelay);
-    EXPECT_EQ(a.siteOutageMinutes, b.siteOutageMinutes);
-    for (std::size_t s = 0; s < kSites; ++s) {
-        EXPECT_EQ(reference.site(s).metrics().outages(),
-                  resumed.site(s).metrics().outages());
-        EXPECT_EQ(reference.site(s).metrics().maxInlet().max(),
-                  resumed.site(s).metrics().maxInlet().max());
-    }
-}
-
-TEST_F(FleetCheckpointTest, CheckpointWriteIsAtomic)
-{
-    auto fleet = makeFleet();
-    fleet.run(50);
-    ASSERT_TRUE(fleet.saveCheckpoint(path_).ok());
-    // No .tmp litter once the rename landed.
-    std::ifstream tmp(path_ + ".tmp");
-    EXPECT_FALSE(tmp.good());
-}
-
-TEST_F(FleetCheckpointTest, FingerprintMismatchRejected)
-{
-    auto fleet = makeFleet();
-    fleet.run(100);
-    ASSERT_TRUE(fleet.saveCheckpoint(path_).ok());
-
-    FleetSimulation other(smallConfig(), kSites + 1, kStrike,
-                          Kilowatts(5.0));
-    const auto loaded = other.loadCheckpoint(path_);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, util::ErrorCode::StateError);
-    EXPECT_NE(loaded.error().message.find("fingerprint mismatch"),
-              std::string::npos);
-}
-
-TEST_F(FleetCheckpointTest, SchemaVersionFlipInvalidatesCheckpoint)
-{
-    auto fleet = makeFleet();
-    fleet.run(100);
-    ASSERT_TRUE(
-        fleet.saveCheckpoint(path_, core::kEngineSchemaVersion + 1).ok());
-
-    auto other = makeFleet();
-    const auto loaded = other.loadCheckpoint(path_);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, util::ErrorCode::StateError);
-    EXPECT_NE(loaded.error().message.find("schema version"),
-              std::string::npos);
-}
-
-TEST_F(FleetCheckpointTest, MissingFileIsAnIoError)
-{
-    auto fleet = makeFleet();
-    const auto loaded =
-        fleet.loadCheckpoint(::testing::TempDir() + "does_not_exist.bin");
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, util::ErrorCode::IoError);
 }
 
 } // namespace

@@ -300,27 +300,34 @@ TEST(LaneBatchParallel, SetupCacheIsBitIdenticalAccelerator)
         EXPECT_EQ(snapshot(plain), snapshot(cached2));
     }
 
-    // External traces cannot be keyed, so a shared cache must neither
-    // serve nor store them -- and must not change the run.
+    // Traces a caller brings are prefilled under traceSetKey: the cache
+    // serves them without generating, and the scale factor it stores
+    // from the first member's solve gives a second member the same run.
     auto config = SimulationConfig::paperDefault();
     config.seed = 4242;
     Rng rng(7);
+    SetupCache::TraceSet traces;
     for (std::size_t k = 0; k < config.numBenignTenants; ++k) {
-        config.externalBenignTraces.push_back(
+        traces.push_back(
             trace::DiurnalTraceGenerator().generate(2 * kMinutesPerDay,
                                                     rng));
     }
-    Simulation plain(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+    Simulation generated(config, makeMyopicPolicy(config, Kilowatts(7.4)));
     config.setupCache = std::make_shared<SetupCache>();
+    config.setupCache->traceSet(SetupCache::traceSetKey(config),
+                                [&] { return traces; });
     Simulation cached(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+    Simulation cached2(config, makeMyopicPolicy(config, Kilowatts(7.4)));
     const auto counters = config.setupCache->counters();
-    EXPECT_EQ(counters.traceHits, 0u);
-    EXPECT_EQ(counters.traceMisses, 0u);
-    EXPECT_EQ(counters.scaleHits, 0u);
-    EXPECT_EQ(counters.scaleMisses, 0u);
-    plain.run(360);
+    EXPECT_EQ(counters.traceHits, 2u);
+    EXPECT_EQ(counters.traceMisses, 1u); // the prefill itself
+    EXPECT_EQ(counters.scaleHits, 1u);
+    EXPECT_EQ(counters.scaleMisses, 1u);
+    generated.run(360);
     cached.run(360);
-    EXPECT_EQ(snapshot(plain), snapshot(cached));
+    cached2.run(360);
+    EXPECT_EQ(snapshot(cached), snapshot(cached2));
+    EXPECT_NE(snapshot(generated), snapshot(cached));
 }
 
 } // namespace

@@ -194,12 +194,5 @@ TEST(Scenario, StreamingToleranceKeyIsUnknown)
               std::string::npos);
 }
 
-TEST(Scenario, TryLoadMissingFileIsIoError)
-{
-    const auto result = tryLoadScenarioFile("/nonexistent/site.cfg");
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().code, util::ErrorCode::IoError);
-}
-
 } // namespace
 } // namespace ecolo::core

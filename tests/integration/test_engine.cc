@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/engine.hh"
+#include "core/setup_cache.hh"
 #include "telemetry/telemetry.hh"
 #include "util/state_io.hh"
 
@@ -264,14 +265,30 @@ TEST(Engine, PrototypeScaleRuns)
 namespace ecolo::core {
 namespace {
 
+/**
+ * Hand the simulation flat benign traces the way a caller with its own
+ * traces does: prefilled in its set-up cache under the key it looks
+ * them up by.
+ */
+void
+injectFlatTraces(SimulationConfig &config, double utilization)
+{
+    config.setupCache = std::make_shared<SetupCache>();
+    config.setupCache->traceSet(SetupCache::traceSetKey(config), [&] {
+        return SetupCache::TraceSet(
+            config.numBenignTenants,
+            trace::UtilizationTrace(
+                std::vector<double>(kMinutesPerDay, utilization)));
+    });
+}
+
 TEST(Engine, ExternalTracesAreUsed)
 {
     auto config = SimulationConfig::paperDefault();
     // Flat external traces: total benign power should be constant.
-    config.externalBenignTraces.assign(
-        3, trace::UtilizationTrace(
-               std::vector<double>(kMinutesPerDay, 0.5)));
+    injectFlatTraces(config, 0.5);
     Simulation sim(config, std::make_unique<StandbyPolicy>());
+    EXPECT_EQ(config.setupCache->counters().traceHits, 1u);
     OnlineStats benign;
     sim.setMinuteCallback([&](const MinuteRecord &r) {
         benign.add(r.benignPower.value());
@@ -284,9 +301,7 @@ TEST(Engine, ExternalTracesAreUsed)
 TEST(Engine, ExternalTracesStillScaledToTarget)
 {
     auto config = SimulationConfig::paperDefault();
-    config.externalBenignTraces.assign(
-        3, trace::UtilizationTrace(
-               std::vector<double>(kMinutesPerDay, 0.9)));
+    injectFlatTraces(config, 0.9);
     Simulation sim(config, std::make_unique<StandbyPolicy>());
     OnlineStats metered;
     sim.setMinuteCallback([&](const MinuteRecord &r) {
@@ -294,16 +309,6 @@ TEST(Engine, ExternalTracesStillScaledToTarget)
     });
     sim.runDays(1.0);
     EXPECT_NEAR(metered.mean(), 6.0, 0.1); // 75% of 8 kW
-}
-
-TEST(EngineDeathTest, WrongExternalTraceCountRejected)
-{
-    auto config = SimulationConfig::paperDefault();
-    config.externalBenignTraces.assign(
-        2, trace::UtilizationTrace(std::vector<double>(100, 0.5)));
-    EXPECT_DEATH(
-        Simulation(config, std::make_unique<StandbyPolicy>()),
-        "externalBenignTraces");
 }
 
 TEST(Engine, OutageLifecycleRestoresService)

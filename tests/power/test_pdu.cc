@@ -38,8 +38,6 @@ TEST(Pdu, CircuitAccounting)
     const auto a = pdu.addCircuit("attacker", Kilowatts(0.8));
     const auto b = pdu.addCircuit("tenant-1", Kilowatts(2.4));
     EXPECT_EQ(pdu.numCircuits(), 2u);
-    EXPECT_EQ(pdu.circuitName(a), "attacker");
-    EXPECT_DOUBLE_EQ(pdu.circuitSubscription(b).value(), 2.4);
 
     pdu.setCircuitDraw(a, Kilowatts(0.5));
     pdu.setCircuitDraw(b, Kilowatts(2.0));

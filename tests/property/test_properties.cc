@@ -12,7 +12,6 @@
 #include "core/engine.hh"
 #include "core/operator.hh"
 #include "thermal/cooling.hh"
-#include "trace/generators.hh"
 
 namespace ecolo {
 namespace {
@@ -117,31 +116,6 @@ TEST_P(CoolingProperty, MoreOverloadIsNeverSlower)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CoolingProperty,
                          ::testing::Values(0.5, 1.0, 2.0, 4.0, 8.0));
-
-// ---------------------------------------------------------------------
-// Traces: any generator parameterization stays within [0, 1] and scales.
-// ---------------------------------------------------------------------
-
-class TraceProperty : public ::testing::TestWithParam<double>
-{
-};
-
-TEST_P(TraceProperty, ScaledMeanHitsTarget)
-{
-    Rng rng(13);
-    const auto t =
-        trace::DiurnalTraceGenerator().generate(14 * kMinutesPerDay, rng);
-    const double target = GetParam();
-    const auto scaled = trace::scaleToMeanUtilization(t, target);
-    EXPECT_NEAR(scaled.mean(), target, 0.01);
-    for (std::size_t i = 0; i < scaled.size(); ++i) {
-        EXPECT_GE(scaled[i], 0.0);
-        EXPECT_LE(scaled[i], 1.0);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, TraceProperty,
-                         ::testing::Values(0.3, 0.5, 0.65, 0.75, 0.85));
 
 // ---------------------------------------------------------------------
 // Engine invariants across seeds: the operator's accounting books must

@@ -58,13 +58,11 @@ TEST(Registry, FindAndKinds)
     Registry reg;
     reg.counter("a.counter");
     reg.gauge("a.gauge");
-    reg.scalar("a.scalar");
     reg.histogram("a.histogram");
-    EXPECT_EQ(reg.size(), 4u);
+    EXPECT_EQ(reg.size(), 3u);
     ASSERT_NE(reg.find("a.counter"), nullptr);
     EXPECT_EQ(reg.find("a.counter")->kind(), StatKind::Counter);
     EXPECT_EQ(reg.find("a.gauge")->kind(), StatKind::Gauge);
-    EXPECT_EQ(reg.find("a.scalar")->kind(), StatKind::Scalar);
     EXPECT_EQ(reg.find("a.histogram")->kind(), StatKind::Histogram);
     EXPECT_EQ(reg.find("missing"), nullptr);
 }
@@ -203,17 +201,6 @@ TEST(Registry, ResetValuesKeepsNames)
     reg.resetValues();
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_EQ(reg.counter("a.b").value(), 0u);
-}
-
-TEST(Registry, TextDumpMentionsEveryStat)
-{
-    Registry reg;
-    reg.counter("zz.count").inc(2);
-    reg.gauge("aa.gauge").set(1.5);
-    std::ostringstream os;
-    reg.dumpText(os);
-    EXPECT_NE(os.str().find("zz.count"), std::string::npos);
-    EXPECT_NE(os.str().find("aa.gauge"), std::string::npos);
 }
 
 } // namespace

@@ -141,48 +141,6 @@ TEST(GoogleStyleGenerator, WeakerDiurnalThanDefault)
     EXPECT_GT(daily_correlation(diurnal), daily_correlation(google));
 }
 
-TEST(ConstantGenerator, FlatAtLevel)
-{
-    Rng rng(8);
-    ConstantTraceGenerator gen(0.42);
-    const auto t = gen.generate(100, rng);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        EXPECT_DOUBLE_EQ(t[i], 0.42);
-}
-
-TEST(ScaleToMean, HitsTarget)
-{
-    Rng rng(10);
-    const auto t = DiurnalTraceGenerator().generate(7 * kMinutesPerDay, rng);
-    const auto scaled = scaleToMeanUtilization(t, 0.6);
-    EXPECT_NEAR(scaled.mean(), 0.6, 0.002);
-}
-
-TEST(ScaleToMean, WorksWhenClampingBites)
-{
-    Rng rng(12);
-    const auto t = DiurnalTraceGenerator().generate(7 * kMinutesPerDay, rng);
-    const auto scaled = scaleToMeanUtilization(t, 0.9);
-    EXPECT_NEAR(scaled.mean(), 0.9, 0.01);
-    EXPECT_LE(scaled.peak(), 1.0);
-}
-
-TEST(ScaleToMean, PreservesShapeOrdering)
-{
-    Rng rng(13);
-    DiurnalTraceGenerator::Params params;
-    params.noiseSigma = 0.0;
-    params.burstsPerDay = 0.0;
-    const auto t =
-        DiurnalTraceGenerator(params).generate(kMinutesPerDay, rng);
-    const auto scaled = scaleToMeanUtilization(t, 0.5);
-    // Scaling is monotone: if a < b before, then a <= b after.
-    for (std::size_t i = 1; i < t.size(); ++i) {
-        if (t[i - 1] < t[i])
-            EXPECT_LE(scaled[i - 1], scaled[i] + 1e-12);
-    }
-}
-
 } // namespace
 } // namespace ecolo::trace
 
@@ -219,7 +177,7 @@ TEST(RequestGenerator, DiurnalShape)
 
 TEST(RequestGenerator, PoissonShotNoisePresent)
 {
-    // Unlike the constant generator, consecutive minutes at the same
+    // Unlike a flat trace, consecutive minutes at the same
     // diurnal phase differ because arrivals are Poisson.
     Rng rng(47);
     RequestTraceGenerator::Params params;
@@ -246,16 +204,6 @@ TEST(RequestGenerator, FlashCrowdsRaiseLoad)
     const auto b =
         RequestTraceGenerator(crowded).generate(7 * kMinutesPerDay, rng2);
     EXPECT_GT(b.mean(), a.mean() * 1.05);
-}
-
-TEST(RequestGenerator, WorksAsEngineExternalTrace)
-{
-    Rng rng(51);
-    RequestTraceGenerator gen;
-    auto t = gen.generate(kMinutesPerDay, rng);
-    // Usable wherever UtilizationTrace is accepted.
-    const auto scaled = scaleToMeanUtilization(t, 0.6);
-    EXPECT_NEAR(scaled.mean(), 0.6, 0.01);
 }
 
 } // namespace

@@ -20,7 +20,6 @@ TEST(KeyValue, ParsesBasicPairs)
 {
     const auto kv = parse("a = 1\nb.c = hello\n");
     EXPECT_EQ(kv.size(), 2u);
-    EXPECT_TRUE(kv.has("a"));
     EXPECT_EQ(*kv.getString("b.c"), "hello");
 }
 
@@ -39,11 +38,9 @@ TEST(KeyValue, TrimsWhitespace)
 
 TEST(KeyValue, TypedGetters)
 {
-    const auto kv = parse("d = 3.5\ni = -7\nb1 = true\nb2 = off\ns = x\n");
+    const auto kv = parse("d = 3.5\ni = -7\ns = x\n");
     EXPECT_DOUBLE_EQ(*kv.getDouble("d"), 3.5);
     EXPECT_EQ(*kv.getInt("i"), -7);
-    EXPECT_TRUE(*kv.getBool("b1"));
-    EXPECT_FALSE(*kv.getBool("b2"));
     EXPECT_EQ(*kv.getString("s"), "x");
 }
 
@@ -52,7 +49,6 @@ TEST(KeyValue, MissingKeysReturnNullopt)
     const auto kv = parse("a = 1\n");
     EXPECT_FALSE(kv.getDouble("missing").has_value());
     EXPECT_FALSE(kv.getInt("missing").has_value());
-    EXPECT_FALSE(kv.getBool("missing").has_value());
     EXPECT_FALSE(kv.getString("missing").has_value());
 }
 
@@ -83,8 +79,6 @@ TEST(KeyValueDeathTest, MalformedInputs)
     EXPECT_DEATH(kv.getDouble("n"), "not a number");
     const auto kv2 = parse("n = 1.5\n");
     EXPECT_DEATH(kv2.getInt("n"), "not an integer");
-    const auto kv3 = parse("b = maybe\n");
-    EXPECT_DEATH(kv3.getBool("b"), "not a boolean");
 }
 
 TEST(KeyValueDeathTest, MissingFile)

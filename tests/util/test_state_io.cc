@@ -68,15 +68,12 @@ TEST(StateIo, VectorRoundTrip)
     std::stringstream buffer;
     StateWriter writer(buffer);
     const std::vector<double> doubles{1.5, -2.25, 0.0};
-    const std::vector<std::int64_t> ints{-1, 0, 42};
     const std::vector<std::size_t> sizes{7, 0, 99};
     writer.f64Vector(doubles);
-    writer.i64Vector(ints);
     writer.sizeVector(sizes);
 
     StateReader reader(buffer);
     EXPECT_EQ(reader.f64Vector(), doubles);
-    EXPECT_EQ(reader.i64Vector(), ints);
     EXPECT_EQ(reader.sizeVector(), sizes);
     EXPECT_TRUE(reader.ok());
 }
