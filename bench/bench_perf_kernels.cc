@@ -32,6 +32,7 @@
 #include "power/layout.hh"
 #include "telemetry/events.hh" // jsonEscape
 #include "telemetry/telemetry.hh"
+#include "thermal/factorization.hh"
 #include "thermal/heat_matrix.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -269,6 +270,46 @@ BM_ColdSetup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ColdSetup)->Unit(benchmark::kMillisecond);
+
+// A served cold request's set-up: the heat matrix and its factorization
+// are already in the worker's cache, and every iteration is a new seed,
+// so it pays the traces and the scale solve. Run with a one-thread pool
+// (threads:1) and the default pool (threads:0), so the serial and the
+// pool cost sit side by side. A trajectory row; the baseline does not
+// carry it.
+
+void
+BM_ColdSetupServed(benchmark::State &state)
+{
+    const std::size_t threads =
+        state.range(0) > 0 ? static_cast<std::size_t>(state.range(0))
+                           : util::ThreadPool::defaultThreads();
+    util::ThreadPool::setGlobalThreads(threads);
+    auto config = core::SimulationConfig::paperDefault();
+    const power::DataCenterLayout layout(config.layout);
+    const auto matrix = HeatDistributionMatrix::analyticDefault(
+        layout, config.matrixParams, config.matrixHorizonMinutes);
+    config.setupCache = std::make_shared<core::SetupCache>();
+    config.setupCache->matrix(core::SetupCache::matrixKey(config),
+                              [&] { return matrix; });
+    config.setupCache->factorization(
+        core::SetupCache::factorizationKey(config), [&] {
+            return TemporalFactorization::compute(matrix,
+                                                  config.factorization);
+        });
+    for (auto _ : state) {
+        ++config.seed;
+        core::Simulation sim(config, core::makeRandomPolicy(config, 0.0));
+        benchmark::DoNotOptimize(sim.now());
+    }
+    state.counters["pool_threads"] = static_cast<double>(threads);
+    util::ThreadPool::setGlobalThreads(util::ThreadPool::defaultThreads());
+}
+BENCHMARK(BM_ColdSetupServed)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Campaign sweep with and without a shared SetupCache. ----
 // The CI perf gate filters on the BM_LaneBatch* row names and the

@@ -153,9 +153,9 @@ Simulation::Simulation(SimulationConfig config,
                  "layout/server-count mismatch");
     buildTenants();
 
-    pdu_.addCircuit("attacker", config_.attackerSubscription);
+    pdu_.addCircuit(config_.attackerSubscription);
     for (const auto &tenant : benignTenants_)
-        pdu_.addCircuit(tenant.name(), tenant.subscribedCapacity());
+        pdu_.addCircuit(tenant.subscribedCapacity());
 }
 
 thermal::ThermalEnvironment
@@ -164,6 +164,7 @@ Simulation::makeThermalEnvironment(const SimulationConfig &config,
 {
     SetupCache &cache = *config.setupCache;
     auto matrix = cache.matrix(SetupCache::matrixKey(config), [&] {
+        telemetry::TraceSpan span("setup.matrix");
         return thermal::HeatDistributionMatrix::analyticDefault(
             layout, config.matrixParams, config.matrixHorizonMinutes);
     });
@@ -174,6 +175,7 @@ Simulation::makeThermalEnvironment(const SimulationConfig &config,
     if (config.thermalMode != thermal::KernelMode::Dense) {
         factors = cache.factorization(
             SetupCache::factorizationKey(config), [&] {
+                telemetry::TraceSpan span("setup.factorize");
                 return thermal::TemporalFactorization::compute(
                     *matrix, config.factorization);
             });
@@ -194,6 +196,7 @@ Simulation::buildTenants()
     SetupCache &cache = *config_.setupCache;
     const std::shared_ptr<const SetupCache::TraceSet> traces =
         cache.traceSet(SetupCache::traceSetKey(config_), [&] {
+            telemetry::TraceSpan span("setup.trace_generate");
             return makeBenignTraceSet(config_, trace_rng);
         });
     // Each tenant points into the shared set (the aliasing pointer keeps
@@ -226,6 +229,7 @@ Simulation::buildTenants()
                  "average utilization target leaves no benign power");
     const double factor =
         cache.scaleFactor(SetupCache::scaleFactorKey(config_), [&] {
+            telemetry::TraceSpan span("setup.scale_solve");
             return power::computeMeanPowerScaleFactor(tenant_ptrs, target);
         });
     for (std::size_t k = 0; k < benignTenants_.size(); ++k)

@@ -4,24 +4,12 @@
 
 namespace ecolo::power {
 
-Kilowatts
-PowerMeter::read(Kilowatts true_power, Rng &rng) const
-{
-    if (relativeNoise_ <= 0.0)
-        return true_power;
-    const double noisy =
-        true_power.value() * (1.0 + rng.normal(0.0, relativeNoise_));
-    return Kilowatts(noisy < 0.0 ? 0.0 : noisy);
-}
-
 std::size_t
-Pdu::addCircuit(std::string tenant_name, Kilowatts subscription,
-                double meter_noise)
+Pdu::addCircuit(Kilowatts subscription)
 {
     ECOLO_ASSERT(subscription.value() > 0.0,
-                 "non-positive subscription for '", tenant_name, "'");
-    circuits_.push_back(Circuit{std::move(tenant_name), subscription,
-                                PowerMeter(meter_noise), Kilowatts(0.0)});
+                 "non-positive subscription for circuit ", circuits_.size());
+    circuits_.push_back(Circuit{subscription, Kilowatts(0.0)});
     return circuits_.size() - 1;
 }
 
@@ -36,7 +24,7 @@ Pdu::setCircuitDraw(std::size_t i, Kilowatts grid_power)
 Kilowatts
 Pdu::circuitMeteredPower(std::size_t i) const
 {
-    return circuits_.at(i).meter.read(circuits_.at(i).currentDraw);
+    return meter_.read(circuits_.at(i).currentDraw);
 }
 
 Kilowatts

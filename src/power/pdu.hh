@@ -2,8 +2,8 @@
  * @file
  * The operator-side power distribution and metering chain.
  *
- * A Pdu distributes UPS-protected power to tenants; the operator hangs one
- * PowerMeter per tenant off the PDU to enforce subscriptions and uses the
+ * A Pdu distributes UPS-protected power to tenant circuits; the operator
+ * meters each circuit (PowerMeter) to enforce subscriptions and uses the
  * aggregate reading as a *proxy for cooling load* -- the practice whose
  * blind spot (battery-supplied power is invisible to the meter) enables the
  * paper's behind-the-meter thermal attack.
@@ -13,39 +13,28 @@
 #define ECOLO_POWER_PDU_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace ecolo::power {
 
 /**
- * A revenue-grade power meter with optional zero-mean gaussian reading
- * noise (relative, e.g. 0.005 = 0.5% of reading).
+ * A revenue-grade power meter. It reads the grid draw exactly: the
+ * paper's blind spot is what the meter cannot see (battery-supplied
+ * power), not how precisely it reads what it does see.
  */
 class PowerMeter
 {
   public:
-    explicit PowerMeter(double relative_noise = 0.0)
-        : relativeNoise_(relative_noise) {}
-
-    /** Measure a true grid draw; noise uses the supplied rng. */
-    Kilowatts read(Kilowatts true_power, Rng &rng) const;
-
-    /** Noise-free reading for deterministic contexts. */
+    /** The metered reading of a true grid draw. */
     Kilowatts read(Kilowatts true_power) const { return true_power; }
-
-    double relativeNoise() const { return relativeNoise_; }
-
-  private:
-    double relativeNoise_;
 };
 
 /**
- * A PDU feeding multiple metered tenant circuits. Tracks per-circuit
- * subscriptions and reports capacity violations.
+ * A PDU feeding metered tenant circuits, indexed in the order they were
+ * added. Tracks per-circuit subscriptions and reports capacity
+ * violations.
  */
 class Pdu
 {
@@ -55,15 +44,14 @@ class Pdu
     Kilowatts capacity() const { return capacity_; }
 
     /** Register a tenant circuit with its subscription; returns its index. */
-    std::size_t addCircuit(std::string tenant_name, Kilowatts subscription,
-                           double meter_noise = 0.0);
+    std::size_t addCircuit(Kilowatts subscription);
 
     std::size_t numCircuits() const { return circuits_.size(); }
 
     /** Record the grid draw on circuit i for the current slot. */
     void setCircuitDraw(std::size_t i, Kilowatts grid_power);
 
-    /** Metered power of circuit i for the current slot (noise-free). */
+    /** Metered power of circuit i for the current slot. */
     Kilowatts circuitMeteredPower(std::size_t i) const;
 
     /** Sum of all circuit meters for the current slot. */
@@ -83,13 +71,12 @@ class Pdu
   private:
     struct Circuit
     {
-        std::string name;
         Kilowatts subscription;
-        PowerMeter meter;
         Kilowatts currentDraw;
     };
 
     Kilowatts capacity_;
+    PowerMeter meter_; //!< every circuit reads through one exact meter
     std::vector<Circuit> circuits_;
     bool energized_ = true;
 };

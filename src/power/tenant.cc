@@ -5,6 +5,7 @@
 
 #include "power/mean_power_kernel.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace ecolo::power {
 
@@ -144,17 +145,22 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
 
     // Site mean power at kMeanPowerLanes factors, one pass per tenant.
     // Each lane is the sum ServerSpec::powerAt would give, bit for bit.
+    // The passes run on the pool, each into its tenant's slot, and the
+    // slots are added in tenant order, so the sum has the serial bits.
+    std::vector<MeanPowerLanes> tenant_kw(tenants.size());
     auto mean_power_for = [&](const MeanPowerLanes &factors) {
-        MeanPowerLanes total_kw{};
-        for (const Tenant *t : tenants) {
+        util::parallelFor(0, tenants.size(), [&](std::size_t j) {
+            const Tenant *t = tenants[j];
             const ServerSpec &spec = t->spec();
-            const MeanPowerLanes tenant_kw = tenantMeanPower(
+            tenant_kw[j] = tenantMeanPower(
                 t->traceRef().samples(), spec.idlePower.value(),
                 (spec.peakPower - spec.idlePower).value(),
                 static_cast<double>(t->numServers()), factors);
+        });
+        MeanPowerLanes total_kw{};
+        for (const MeanPowerLanes &lanes : tenant_kw)
             for (std::size_t k = 0; k < kMeanPowerLanes; ++k)
-                total_kw[k] += tenant_kw[k];
-        }
+                total_kw[k] += lanes[k];
         return total_kw;
     };
 

@@ -114,8 +114,10 @@ class Tenant
  * the paper sets "75% average utilization" of the 8 kW capacity. The
  * solve is a 60-step bisection run three steps per pass over the
  * year-long traces (tenantMeanPower scores the seven midpoints those
- * steps can visit), with the bits of one step per pass. It is still the
- * largest single cost of a cold set-up, so campaign drivers solve once
+ * steps can visit), with the bits of one step per pass. A pass scores
+ * the tenants on util::parallelFor and adds them in tenant order, so the
+ * bits do not depend on the pool's size. It is still the largest single
+ * cost of a cold set-up, so campaign drivers solve once
  * per distinct trace set and reuse the factor
  * (core::SetupCache::scaleFactor).
  */

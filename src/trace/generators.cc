@@ -97,13 +97,18 @@ DiurnalTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
         weekend[m] = level * p.weekendFactor;
     }
 
+    // The AR(1) noise takes one standard normal per minute and nothing
+    // else draws in between, so all of them are drawn first, into the
+    // samples they turn into (rng.normals runs the transforms on the
+    // pool). `0.0 + innovation * z` is normal(0.0, innovation) op for op.
+    rng.normals(samples);
     double noise = 0.0;
     const double noise_innovation =
         p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
     for (std::size_t i = 0; i < num_minutes; ++i) {
         const auto t = static_cast<MinuteIndex>(i);
         const double level = (isWeekend(t) ? weekend : weekday)[minuteSlot(t)];
-        noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
+        noise = p.noisePhi * noise + (0.0 + noise_innovation * samples[i]);
         samples[i] = level + noise;
     }
 

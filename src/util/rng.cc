@@ -1,8 +1,10 @@
 #include "util/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace ecolo {
 
@@ -23,6 +25,30 @@ std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** A uniform in (0, 1): uniform() redrawn while it is 0. */
+double
+positiveUniform(Rng &rng)
+{
+    double u = 0.0;
+    do {
+        u = rng.uniform();
+    } while (u <= 0.0);
+    return u;
+}
+
+/**
+ * Box-Muller: the standard normals normal() returns (`first`) and
+ * caches (`second`) for the uniforms u1 in (0, 1) and u2 in [0, 1).
+ */
+void
+boxMuller(double u1, double u2, double &first, double &second)
+{
+    const double radius = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    first = radius * std::cos(theta);
+    second = radius * std::sin(theta);
 }
 
 } // namespace
@@ -84,16 +110,12 @@ Rng::normal()
         hasCachedNormal_ = false;
         return cachedNormal_;
     }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
+    const double u1 = positiveUniform(*this);
     const double u2 = uniform();
-    const double radius = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cachedNormal_ = radius * std::sin(theta);
+    double first = 0.0;
+    boxMuller(u1, u2, first, cachedNormal_);
     hasCachedNormal_ = true;
-    return radius * std::cos(theta);
+    return first;
 }
 
 double
@@ -102,15 +124,42 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
+void
+Rng::normals(std::span<double> out)
+{
+    std::size_t head = 0;
+    if (hasCachedNormal_ && !out.empty()) {
+        out[head++] = cachedNormal_;
+        hasCachedNormal_ = false;
+    }
+    // Draw each pair's uniforms into the two slots its normals take, in
+    // normal()'s order. An odd last slot is one plain normal() call,
+    // which leaves the second variate cached.
+    double *const pairs = out.data() + head;
+    const std::size_t num_pairs = (out.size() - head) / 2;
+    for (std::size_t p = 0; p < num_pairs; ++p) {
+        pairs[2 * p] = positiveUniform(*this);
+        pairs[2 * p + 1] = uniform();
+    }
+    if (head + 2 * num_pairs < out.size())
+        out.back() = normal();
+
+    const std::size_t num_tasks =
+        (num_pairs + kNormalPairsPerTask - 1) / kNormalPairsPerTask;
+    util::parallelFor(0, num_tasks, [pairs, num_pairs](std::size_t task) {
+        const std::size_t end =
+            std::min(num_pairs, (task + 1) * kNormalPairsPerTask);
+        for (std::size_t p = task * kNormalPairsPerTask; p < end; ++p)
+            boxMuller(pairs[2 * p], pairs[2 * p + 1], pairs[2 * p],
+                      pairs[2 * p + 1]);
+    });
+}
+
 double
 Rng::exponential(double rate)
 {
     ECOLO_ASSERT(rate > 0.0, "exponential rate must be positive");
-    double u = 0.0;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return -std::log(u) / rate;
+    return -std::log(positiveUniform(*this)) / rate;
 }
 
 bool

@@ -13,7 +13,9 @@
 #define ECOLO_UTIL_RNG_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "util/state_io.hh"
 
@@ -50,6 +52,18 @@ class Rng
 
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double stddev);
+
+    /**
+     * Fill `out` with exactly what out.size() calls of normal() would
+     * return, and leave the generator as those calls would (the cached
+     * variate included). The uniforms are drawn serially; the
+     * Box-Muller transforms run on util::parallelFor, kNormalPairsPerTask
+     * pairs per task, so the values do not depend on the pool's size.
+     */
+    void normals(std::span<double> out);
+
+    /** Variate pairs one normals() pool task transforms. */
+    static constexpr std::size_t kNormalPairsPerTask = 4096;
 
     /** Exponential with the given rate (mean 1/rate). */
     double exponential(double rate);

@@ -1,11 +1,13 @@
 /**
  * @file
  * SetupCache store semantics: the trace-set store's LRU bound, and its
- * hit path under concurrent callers (the SetupCacheParallel suite runs
- * under the ThreadSanitizer CI job's `ctest -R 'Parallel'`).
+ * hit path under concurrent callers; and a cold set-up nested in a pool
+ * body (the SetupCacheParallel and ParallelSetup suites run under the
+ * ThreadSanitizer CI job's `ctest -R 'Parallel'`).
  */
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <thread>
@@ -13,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.hh"
 #include "core/setup_cache.hh"
+#include "util/parallel.hh"
 
 namespace {
 
@@ -100,6 +104,63 @@ TEST(SetupCacheParallel, ConcurrentHitsKeepTheBound)
     }
     EXPECT_LE(alive.size(), SetupCache::kMaxTraceSets);
     EXPECT_GE(alive.size(), 1u);
+}
+
+/** What a cold Simulation of `config` leaves in a fresh cache. */
+struct ColdSetup
+{
+    std::shared_ptr<const SetupCache::TraceSet> traces;
+    double factor = 0.0;
+};
+
+ColdSetup
+coldSetup(SimulationConfig config)
+{
+    auto cache = std::make_shared<SetupCache>();
+    config.setupCache = cache;
+    Simulation sim(config, makeRandomPolicy(config, 0.0));
+    ColdSetup out;
+    out.traces = cache->traceSet(SetupCache::traceSetKey(config), [] {
+        ADD_FAILURE() << "the simulation did not cache its traces";
+        return SetupCache::TraceSet{};
+    });
+    out.factor =
+        cache->scaleFactor(SetupCache::scaleFactorKey(config), [] {
+            ADD_FAILURE() << "the simulation did not cache its factor";
+            return 0.0;
+        });
+    return out;
+}
+
+TEST(ParallelSetup, ColdSimulationInAPoolBodyKeepsTheBits)
+{
+    // Inside a pool body the set-up's own parallelFor calls run inline
+    // (serially); on the main thread they run on the pool.
+    util::ThreadPool::setGlobalThreads(4);
+    auto config = SimulationConfig::paperDefault();
+    config.seed = 13;
+    const ColdSetup main_thread = coldSetup(config);
+    std::vector<ColdSetup> nested(2);
+    util::parallelFor(0, nested.size(),
+                      [&](std::size_t i) { nested[i] = coldSetup(config); });
+    util::ThreadPool::setGlobalThreads(util::ThreadPool::defaultThreads());
+
+    ASSERT_EQ(main_thread.traces->size(), config.numBenignTenants);
+    for (const ColdSetup &n : nested) {
+        ASSERT_EQ(n.traces->size(), main_thread.traces->size());
+        for (std::size_t k = 0; k < n.traces->size(); ++k) {
+            const auto &want = (*main_thread.traces)[k].samples();
+            const auto &got = (*n.traces)[k].samples();
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(double)),
+                      0)
+                << "tenant " << k;
+        }
+        EXPECT_EQ(std::memcmp(&n.factor, &main_thread.factor,
+                              sizeof(double)),
+                  0);
+    }
 }
 
 } // namespace

@@ -13,30 +13,11 @@ TEST(PowerMeter, NoiselessIsExact)
     EXPECT_DOUBLE_EQ(meter.read(Kilowatts(3.3)).value(), 3.3);
 }
 
-TEST(PowerMeter, NoisyIsUnbiased)
-{
-    PowerMeter meter(0.01);
-    Rng rng(3);
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += meter.read(Kilowatts(5.0), rng).value();
-    EXPECT_NEAR(sum / n, 5.0, 0.01);
-}
-
-TEST(PowerMeter, NoisyNeverNegative)
-{
-    PowerMeter meter(2.0); // absurd noise to force the clamp
-    Rng rng(5);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GE(meter.read(Kilowatts(0.1), rng).value(), 0.0);
-}
-
 TEST(Pdu, CircuitAccounting)
 {
     Pdu pdu(Kilowatts(8.0));
-    const auto a = pdu.addCircuit("attacker", Kilowatts(0.8));
-    const auto b = pdu.addCircuit("tenant-1", Kilowatts(2.4));
+    const auto a = pdu.addCircuit(Kilowatts(0.8));
+    const auto b = pdu.addCircuit(Kilowatts(2.4));
     EXPECT_EQ(pdu.numCircuits(), 2u);
 
     pdu.setCircuitDraw(a, Kilowatts(0.5));
@@ -48,7 +29,7 @@ TEST(Pdu, CircuitAccounting)
 TEST(Pdu, SubscriptionViolationDetected)
 {
     Pdu pdu(Kilowatts(8.0));
-    const auto a = pdu.addCircuit("attacker", Kilowatts(0.8));
+    const auto a = pdu.addCircuit(Kilowatts(0.8));
     pdu.setCircuitDraw(a, Kilowatts(0.8));
     EXPECT_FALSE(pdu.circuitOverSubscription(a));
     pdu.setCircuitDraw(a, Kilowatts(0.81));
@@ -58,8 +39,8 @@ TEST(Pdu, SubscriptionViolationDetected)
 TEST(Pdu, CapacityViolationDetected)
 {
     Pdu pdu(Kilowatts(3.0));
-    const auto a = pdu.addCircuit("x", Kilowatts(2.0));
-    const auto b = pdu.addCircuit("y", Kilowatts(2.0));
+    const auto a = pdu.addCircuit(Kilowatts(2.0));
+    const auto b = pdu.addCircuit(Kilowatts(2.0));
     pdu.setCircuitDraw(a, Kilowatts(1.5));
     pdu.setCircuitDraw(b, Kilowatts(1.4));
     EXPECT_FALSE(pdu.overCapacity());
@@ -70,7 +51,7 @@ TEST(Pdu, CapacityViolationDetected)
 TEST(Pdu, DeEnergizedZeroesDraws)
 {
     Pdu pdu(Kilowatts(8.0));
-    const auto a = pdu.addCircuit("x", Kilowatts(2.0));
+    const auto a = pdu.addCircuit(Kilowatts(2.0));
     pdu.setEnergized(false);
     pdu.setCircuitDraw(a, Kilowatts(1.5));
     EXPECT_DOUBLE_EQ(pdu.totalMeteredPower().value(), 0.0);
@@ -80,7 +61,7 @@ TEST(Pdu, DeEnergizedZeroesDraws)
 TEST(PduDeathTest, RejectsNegativeDraw)
 {
     Pdu pdu(Kilowatts(8.0));
-    const auto a = pdu.addCircuit("x", Kilowatts(2.0));
+    const auto a = pdu.addCircuit(Kilowatts(2.0));
     EXPECT_DEATH(pdu.setCircuitDraw(a, Kilowatts(-0.5)), "negative");
 }
 

@@ -24,6 +24,7 @@
 #include "power/tenant.hh"
 #include "trace/generators.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/sim_time.hh"
 
@@ -288,6 +289,35 @@ TEST(ScaleOracle, UnreachableTargetSaturatesAtTheBracketTop)
     EXPECT_DOUBLE_EQ(computeMeanPowerScaleFactor(
                          ptrs, targetFor(ptrs, Target::Unreachable)),
                      64.0);
+}
+
+TEST(ParallelSetup, ScaleFactorBitsDoNotDependOnPoolSize)
+{
+    // Three year-long diurnal tenants, as the engine solves them, and
+    // five one-day external ones (more tenants than pool threads).
+    const struct
+    {
+        Kind kind;
+        std::size_t minutes, count;
+    } cases[] = {{Kind::Diurnal, kYear, 3}, {Kind::External, kDay, 5}};
+    for (const auto &c : cases) {
+        const auto traces = makeTraces(c.kind, c.minutes, 107);
+        std::vector<Tenant> tenants = makeTenants(traces, c.count);
+        std::vector<Tenant *> ptrs;
+        for (Tenant &t : tenants)
+            ptrs.push_back(&t);
+        const Kilowatts target = targetFor(ptrs, Target::BelowOne);
+        const double want = oracleScaleFactor(ptrs, target);
+        for (const std::size_t threads : {1, 2, 4}) {
+            util::ThreadPool::setGlobalThreads(threads);
+            const double got = computeMeanPowerScaleFactor(ptrs, target);
+            EXPECT_TRUE(sameBits(got, want))
+                << caseName(c.kind, c.minutes, c.count, Target::BelowOne)
+                << " threads=" << threads << ": got " << got << ", oracle "
+                << want;
+        }
+    }
+    util::ThreadPool::setGlobalThreads(util::ThreadPool::defaultThreads());
 }
 
 TEST(MeanPowerKernel, EveryLaneMatchesTheScalarSum)

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace ecolo {
@@ -158,6 +160,51 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator)
     static_assert(Rng::max() == ~0ULL);
     Rng rng(61);
     EXPECT_NE(rng(), rng());
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** normals(n) against n calls of normal() on a twin stream: the same
+ * values bit for bit, then the same next() and the same normal(). */
+void
+expectNormalsMatchALoop(std::size_t n, bool cached_on_entry)
+{
+    Rng loop(71), batch(71);
+    if (cached_on_entry) {
+        loop.normal();
+        batch.normal();
+    }
+    std::vector<double> want(n), got(n);
+    for (double &z : want)
+        z = loop.normal();
+    batch.normals(got);
+    if (n > 0)
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)),
+                  0)
+            << "n=" << n << " cached=" << cached_on_entry;
+    EXPECT_EQ(batch.next(), loop.next())
+        << "n=" << n << " cached=" << cached_on_entry;
+    EXPECT_TRUE(sameBits(batch.normal(), loop.normal()))
+        << "n=" << n << " cached=" << cached_on_entry;
+}
+
+TEST(ParallelSetup, NormalsMatchALoopOfNormal)
+{
+    constexpr std::size_t kPerTask = 2 * Rng::kNormalPairsPerTask;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::ThreadPool::setGlobalThreads(threads);
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2},
+              std::size_t{3}, kPerTask - 1, kPerTask, kPerTask + 1,
+              std::size_t{525600}})
+            for (const bool cached : {false, true})
+                expectNormalsMatchALoop(n, cached);
+    }
+    util::ThreadPool::setGlobalThreads(util::ThreadPool::defaultThreads());
 }
 
 } // namespace
