@@ -164,10 +164,19 @@ BENCHMARK(BM_YearSlotLoopStreaming)
 
 // ---- End-to-end campaign: dense vs. streaming engine hot path. ----
 
+/** A process-registry counter's value; 0 before it is registered. */
+double
+counterValue(const std::string &name)
+{
+    const double v = telemetry::statValue(telemetry::registry().find(name));
+    return std::isnan(v) ? 0.0 : v;
+}
+
 /**
  * Where a slot's time goes: one more run, outside the timed loop, with
- * the engine's phase clock on. Each phase_<name>_ns row is that run's
- * mean per slot. The rows partition the phased loop,
+ * telemetry on, which times every slot phase. Each phase_<name>_ns row
+ * is that run's mean per slot, read from the engine.phase.* counters it
+ * published. The rows partition the phased loop,
  * phased_loop_ns_per_slot, and the run fails when they sum to more
  * than 5 % away from it. The phased loop exceeds loop_ns_per_slot by
  * the clock's reads, one per phase, which each row carries once.
@@ -179,19 +188,28 @@ reportSlotPhases(benchmark::State &state,
     if (!telemetry::kCompiledIn)
         return;
     core::Simulation sim(config, core::makeForesightedPolicy(config, 14.0));
-    sim.setPhaseClock(true);
+    std::vector<std::string> names;
+    for (std::size_t p = 0; p < core::kNumSlotPhases; ++p)
+        names.push_back(core::slotPhaseName(static_cast<core::SlotPhase>(p)));
+    std::vector<double> before;
+    for (const std::string &name : names)
+        before.push_back(counterValue("engine.phase." + name + "_ns"));
+    const double slots_before = counterValue("engine.phase.slots");
+
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(true);
     const auto t0 = std::chrono::steady_clock::now();
     sim.runDays(days);
     const auto t1 = std::chrono::steady_clock::now();
+    telemetry::setEnabled(was_enabled);
 
-    const core::SlotPhaseTimes &times = sim.slotPhaseTimes();
-    const auto slots = static_cast<double>(times.slots);
+    const double slots = counterValue("engine.phase.slots") - slots_before;
     double sum_ns = 0.0;
-    for (std::size_t p = 0; p < core::kNumSlotPhases; ++p) {
-        const double ns = static_cast<double>(times.ns[p]) / slots;
-        state.counters[std::string("phase_") +
-                       core::slotPhaseName(static_cast<core::SlotPhase>(p)) +
-                       "_ns"] = ns;
+    for (std::size_t p = 0; p < names.size(); ++p) {
+        const double ns =
+            (counterValue("engine.phase." + names[p] + "_ns") - before[p]) /
+            slots;
+        state.counters["phase_" + names[p] + "_ns"] = ns;
         sum_ns += ns;
     }
     const double loop_ns =
@@ -595,10 +613,17 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
+    // A filtered run holds only some rows, so it writes the summary only
+    // where EDGETHERM_BENCH_JSON names: never over the default file.
     const char *env_path = std::getenv("EDGETHERM_BENCH_JSON");
-    const std::string path = (env_path != nullptr && env_path[0] != '\0')
-                                 ? env_path
-                                 : "BENCH_perf.json";
+    const bool env_set = env_path != nullptr && env_path[0] != '\0';
+    const std::string filter = benchmark::GetBenchmarkFilter();
+    if (!env_set && !filter.empty() && filter != "." && filter != "all") {
+        ecolo::inform("filtered run: perf summary not written "
+                      "(set EDGETHERM_BENCH_JSON to write one)");
+        return 0;
+    }
+    const std::string path = env_set ? env_path : "BENCH_perf.json";
     if (!writePerfJson(path, reporter.runs())) {
         ecolo::warn("could not write perf summary: ", path);
         return 1;

@@ -46,6 +46,11 @@ initTelemetryFromEnv()
                       envOrNull("EDGETHERM_PROFILE_OUT") != nullptr;
     if (!want)
         return false;
+    // Build the sinks now, inside the lifecycle object's constructor, so
+    // that they outlive its destructor's flush at exit.
+    (void)telemetry::registry();
+    (void)telemetry::events();
+    (void)telemetry::trace();
     telemetry::setEnabled(true);
     if (envOrNull("EDGETHERM_PROFILE_OUT") != nullptr)
         telemetry::trace().begin();

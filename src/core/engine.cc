@@ -1,8 +1,11 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/setup_cache.hh"
@@ -30,40 +33,71 @@ slotPhaseName(SlotPhase phase)
     return "unknown";
 }
 
-namespace {
-
 /**
- * Laps one slot's phases into a SlotPhaseTimes. Built with a null
- * target (phase clock off) it reads no clock and writes nothing.
+ * What one instrumented run() call collects, kept here and published
+ * once when the call returns: a slot with telemetry on takes no stat
+ * lookup, lock or allocation. The one per-sample stat goes through a
+ * reference resolved when the call starts.
  */
-class PhaseClock
+struct Simulation::RunTelemetry
 {
-  public:
-    explicit PhaseClock(SlotPhaseTimes *times) : times_(times)
-    {
-        if (times_) {
-            ++times_->slots;
-            last_ = std::chrono::steady_clock::now();
-        }
-    }
+    telemetry::TelemetryHistogram &estimateError =
+        telemetry::registry().histogram("sidechannel.estimate_error_kw");
+    /** The phase clock: each lap charges the time since the previous
+     * one, so the phases partition the whole call, one read per lap. */
+    std::chrono::steady_clock::time_point lastLap =
+        std::chrono::steady_clock::now();
+    std::array<std::uint64_t, kNumSlotPhases> phaseNs{};
+    std::uint64_t cappingMinutes = 0;
+    std::uint64_t attackMinutes = 0;
+    std::uint64_t staleEstimates = 0;
+    std::uint64_t emergencies = 0;
+    std::uint64_t outages = 0;
+    double maxInlet = 0.0;
+    double soc = 0.0;
 
     /** Charge the time since the previous lap to `phase`. */
     void lap(SlotPhase phase)
     {
-        if (!times_)
-            return;
         const auto t = std::chrono::steady_clock::now();
         const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t - last_);
-        times_->ns[static_cast<std::size_t>(phase)] +=
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t - lastLap);
+        phaseNs[static_cast<std::size_t>(phase)] +=
             static_cast<std::uint64_t>(ns.count());
-        last_ = t;
+        lastLap = t;
     }
 
-  private:
-    SlotPhaseTimes *times_;
-    std::chrono::steady_clock::time_point last_{};
+    /** Publish the call's stats; `slots` is how many it stepped. */
+    void publish(std::uint64_t slots) const;
 };
+
+void
+Simulation::RunTelemetry::publish(std::uint64_t slots) const
+{
+    if (slots == 0)
+        return;
+    auto &reg = telemetry::registry();
+    for (std::size_t p = 0; p < kNumSlotPhases; ++p) {
+        reg.counter(std::string("engine.phase.") +
+                    slotPhaseName(static_cast<SlotPhase>(p)) + "_ns")
+            .inc(phaseNs[p]);
+    }
+    reg.counter("engine.phase.slots").inc(slots);
+    reg.counter("engine.minutes").inc(slots);
+    reg.counter("engine.capping.minutes").inc(cappingMinutes);
+    reg.counter("engine.attack.minutes").inc(attackMinutes);
+    reg.gauge("engine.inlet.max_c").set(maxInlet);
+    reg.gauge("battery.soc").set(soc);
+    // Edge events: registered only once they happen.
+    if (staleEstimates > 0)
+        reg.counter("sidechannel.estimate.stale").inc(staleEstimates);
+    if (emergencies > 0)
+        reg.counter("engine.emergency.declared").inc(emergencies);
+    if (outages > 0)
+        reg.counter("engine.outage.count").inc(outages);
+}
+
+namespace {
 
 /** Per-tenant jitter so the three benign tenants are not clones. */
 trace::UtilizationTrace
@@ -246,7 +280,7 @@ Simulation::benignActualPower() const
 }
 
 AttackObservation
-Simulation::makeObservation(bool capping, bool outage)
+Simulation::makeObservation(bool capping, bool outage, RunTelemetry *stats)
 {
     AttackObservation obs;
     obs.time = now_;
@@ -259,18 +293,10 @@ Simulation::makeObservation(bool capping, bool outage)
     } else {
         // The attacker estimates the benign aggregate via the voltage side
         // channel (it knows and subtracts its own draw), then reasons in
-        // terms of "benign load + my subscription" as in the paper. The
-        // channel averages the per-minute ripple samples into the
-        // engine-owned scratch (sized once; the slot loop allocates
-        // nothing afterwards).
+        // terms of "benign load + my subscription" as in the paper.
         const Kilowatts benign_actual = benignActualPower();
-        Kilowatts estimate(0.0);
-        {
-            telemetry::TraceSpan span("engine.sidechannel");
-            estimate = channel_.estimateAveraged(
-                benign_actual, config_.sideChannel.samplesPerEstimate,
-                sampleScratch_);
-        }
+        const Kilowatts estimate = channel_.estimateAveraged(
+            benign_actual, config_.sideChannel.samplesPerEstimate);
         if (std::isnan(estimate.value())) {
             // Sensor fault (dropout / corrupted samples): hold the last
             // valid estimate. Policies discretize estimatedLoad into
@@ -281,18 +307,14 @@ Simulation::makeObservation(bool capping, bool outage)
                 5, "side-channel estimate invalid at minute ", now_,
                 "; holding last valid estimate (",
                 lastValidEstimate_.value(), " kW)");
-            if (telemetry::enabled()) {
-                telemetry::registry()
-                    .counter("sidechannel.estimate.stale").inc();
-            }
+            if (stats)
+                ++stats->staleEstimates;
         } else {
             obs.estimatedLoad = estimate + config_.attackerSubscription;
             lastValidEstimate_ = obs.estimatedLoad;
-            if (telemetry::enabled()) {
-                telemetry::registry()
-                    .histogram("sidechannel.estimate_error_kw")
-                    .add(std::abs(estimate.value() -
-                                  benign_actual.value()));
+            if (stats) {
+                stats->estimateError.add(
+                    std::abs(estimate.value() - benign_actual.value()));
             }
         }
     }
@@ -308,15 +330,17 @@ Simulation::makeObservation(bool capping, bool outage)
 }
 
 void
-Simulation::stepMinute()
+Simulation::stepMinute(RunTelemetry *stats)
 {
-    PhaseClock clock(telemetry::kCompiledIn && phaseClock_ ? &phaseTimes_
-                                                            : nullptr);
+    const auto lap = [stats](SlotPhase phase) {
+        if (stats)
+            stats->lap(phase);
+    };
 
     // ---- 0. Fault injection (skipped entirely on healthy configs). ----
     if (faultsEnabled_) {
         applyFaultsForMinute();
-        if (telemetry::enabled()) {
+        if (stats) {
             const bool faults_active = faultsNow_.any();
             if (faults_active != prevFaultsActive_) {
                 telemetry::emitEvent(now_,
@@ -346,7 +370,7 @@ Simulation::stepMinute()
     const bool degraded_now = command_.degraded;
     const double shed_fraction = command_.shedFraction;
 
-    if (telemetry::enabled() && any_cap != prevAnyCap_) {
+    if (stats && any_cap != prevAnyCap_) {
         telemetry::emitEvent(now_,
                              any_cap ? telemetry::EventKind::CappingStart
                                      : telemetry::EventKind::CappingEnd,
@@ -397,22 +421,18 @@ Simulation::stepMinute()
         attackerTenant_.setPerServerCap(cap_level);
     else
         attackerTenant_.clearCaps();
-    clock.lap(SlotPhase::Tenants);
+    lap(SlotPhase::Tenants);
 
     // ---- 2. Observation, learning feedback, day boundary. ----
-    const AttackObservation obs = makeObservation(any_cap, outage);
-    clock.lap(SlotPhase::Observation);
+    const AttackObservation obs = makeObservation(any_cap, outage, stats);
+    lap(SlotPhase::Observation);
     if (havePending_)
         policy_->feedback(lastObs_, lastAction_, obs);
     if (now_ > 0 && now_ % kMinutesPerDay == 0)
         policy_->onDayBoundary(dayIndex(now_));
 
     // ---- 3. Decide and enforce protocol compliance. ----
-    AttackAction action = AttackAction::Standby;
-    {
-        telemetry::TraceSpan span("engine.policy_decide");
-        action = policy_->decide(obs);
-    }
+    AttackAction action = policy_->decide(obs);
     if (outage) {
         action = AttackAction::Standby;
     } else if (any_cap && !policy_->ignoresCapping() &&
@@ -420,7 +440,7 @@ Simulation::stepMinute()
         action = obs.batterySoc < 1.0 ? AttackAction::Charge
                                       : AttackAction::Standby;
     }
-    clock.lap(SlotPhase::Policy);
+    lap(SlotPhase::Policy);
 
     // ---- 4. Attacker power execution. ----
     // A BMS cutout isolates the battery: neither discharging (the attack
@@ -466,7 +486,7 @@ Simulation::stepMinute()
         }
     }
 
-    clock.lap(SlotPhase::Attacker);
+    lap(SlotPhase::Attacker);
 
     // ---- 5. Per-server heat and metering. ----
     const std::size_t n_attacker = config_.attackerNumServers;
@@ -500,21 +520,18 @@ Simulation::stepMinute()
     }
     ECOLO_ASSERT(server == config_.numServers(),
                  "server heat vector not fully populated");
-    clock.lap(SlotPhase::Gather);
+    lap(SlotPhase::Gather);
 
     pdu_.setEnergized(!outage);
     pdu_.setCircuitDraw(0, supply.gridPower);
     for (std::size_t k = 0; k < benignTenants_.size(); ++k)
         pdu_.setCircuitDraw(k + 1, tenantPower_[k]);
     const Kilowatts metered_total = pdu_.totalMeteredPower();
-    clock.lap(SlotPhase::Pdu);
+    lap(SlotPhase::Pdu);
 
     // ---- 6a. Thermal step. ----
-    {
-        telemetry::TraceSpan span("engine.thermal_step");
-        thermal_.stepMinute(lastHeat_, heat_total);
-    }
-    clock.lap(SlotPhase::Thermal);
+    thermal_.stepMinute(lastHeat_, heat_total);
+    lap(SlotPhase::Thermal);
 
     // ---- 6b. Operator reaction. ----
     // The attacker's batteries breathe the data center air; with a
@@ -544,17 +561,17 @@ Simulation::stepMinute()
     while (emergenciesSeen_ < operator_.emergenciesDeclared()) {
         metrics_.noteEmergencyDeclared();
         ++emergenciesSeen_;
-        if (telemetry::enabled())
-            telemetry::registry().counter("engine.emergency.declared").inc();
+        if (stats)
+            ++stats->emergencies;
     }
     while (outagesSeen_ < operator_.outages()) {
         metrics_.noteOutage();
         ++outagesSeen_;
-        if (telemetry::enabled())
-            telemetry::registry().counter("engine.outage.count").inc();
+        if (stats)
+            ++stats->outages;
     }
 
-    if (telemetry::enabled()) {
+    if (stats) {
         using telemetry::EventKind;
         const OperatorState op_state = operator_.state();
         if (op_state != prevOpState_) {
@@ -600,16 +617,14 @@ Simulation::stepMinute()
             batteryDepletedLatched_ = false; // re-arm after recharge
         }
 
-        auto &reg = telemetry::registry();
-        reg.counter("engine.minutes").inc();
         if (any_cap)
-            reg.counter("engine.capping.minutes").inc();
+            ++stats->cappingMinutes;
         if (action == AttackAction::Attack)
-            reg.counter("engine.attack.minutes").inc();
-        reg.gauge("engine.inlet.max_c").set(max_inlet.value());
-        reg.gauge("battery.soc").set(soc);
+            ++stats->attackMinutes;
+        stats->maxInlet = max_inlet.value();
+        stats->soc = soc;
     }
-    clock.lap(SlotPhase::Operator);
+    lap(SlotPhase::Operator);
 
     // ---- 7. Performance accounting during capped minutes. ----
     if (any_cap && !outage) {
@@ -656,7 +671,7 @@ Simulation::stepMinute()
     lastAction_ = action;
     havePending_ = true;
     ++now_;
-    clock.lap(SlotPhase::Metrics);
+    lap(SlotPhase::Metrics);
 }
 
 void
@@ -796,11 +811,19 @@ void
 Simulation::run(MinuteIndex num_minutes)
 {
     ECOLO_ASSERT(num_minutes >= 0, "negative run length");
+    telemetry::TraceSpan span("engine.run");
+    std::optional<RunTelemetry> stats;
+    if (telemetry::enabled())
+        stats.emplace();
+    RunTelemetry *const instrumented = stats ? &*stats : nullptr;
+    const MinuteIndex start = now_;
     for (MinuteIndex i = 0; i < num_minutes; ++i) {
         if (cancel_ && cancel_())
             break;
-        stepMinute();
+        stepMinute(instrumented);
     }
+    if (stats)
+        stats->publish(static_cast<std::uint64_t>(now_ - start));
 }
 
 void

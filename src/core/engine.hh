@@ -13,8 +13,7 @@
 #ifndef ECOLO_CORE_ENGINE_HH
 #define ECOLO_CORE_ENGINE_HH
 
-#include <array>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -37,7 +36,7 @@
 namespace ecolo::core {
 
 /** The phases of one slot, in the order Simulation::stepMinute runs
- * them. */
+ * them. Tenants also holds run()'s loop between two slots. */
 enum class SlotPhase : std::size_t
 {
     Tenants,     //!< faults, traces, caps, power-off, attacker caps
@@ -58,18 +57,6 @@ inline constexpr std::size_t kNumSlotPhases =
 /** Lower-case name of a phase ("tenants", "observation", ...). */
 const char *slotPhaseName(SlotPhase phase);
 
-/**
- * Wall-clock time per slot phase, summed over the slots stepped with
- * the phase clock on (Simulation::setPhaseClock). The phases partition
- * stepMinute, so their sum is those slots' loop time plus the clock's
- * own reads, one per phase.
- */
-struct SlotPhaseTimes
-{
-    std::array<std::uint64_t, kNumSlotPhases> ns{};
-    std::uint64_t slots = 0;
-};
-
 /** One configured run of the edge colocation under a given attack policy. */
 class Simulation
 {
@@ -83,7 +70,14 @@ class Simulation
     Simulation(SimulationConfig config,
                std::unique_ptr<AttackPolicy> policy);
 
-    /** Advance the simulation by the given number of minutes. */
+    /**
+     * Advance the simulation by the given number of minutes. With
+     * telemetry::enabled() (read once per call) the call is one
+     * `engine.run` span, every slot phase is timed, and the call's
+     * counts, gauges and phase times are published when it returns:
+     * `engine.phase.<phase>_ns` and `engine.phase.slots` among them.
+     * Telemetry never moves a result.
+     */
     void run(MinuteIndex num_minutes);
 
     /** Convenience: run whole days. */
@@ -134,17 +128,6 @@ class Simulation
     const faults::ActiveFaults &activeFaults() const { return faultsNow_; }
 
     /**
-     * Time every slot phase from now on (or stop). Separate from
-     * telemetry::enabled(), whose per-slot spans and stat lookups would
-     * dwarf the phases they sit in; compiled out, like the rest of the
-     * telemetry, under EDGETHERM_TELEMETRY=0. Off (the default) costs
-     * one branch per phase and moves no result.
-     */
-    void setPhaseClock(bool on) { phaseClock_ = on; }
-    /** Per-phase slot times (not checkpointed). */
-    const SlotPhaseTimes &slotPhaseTimes() const { return phaseTimes_; }
-
-    /**
      * Serialize the complete mutable state. A Simulation constructed from
      * the same config and policy kind, then restored with loadState,
      * continues bit-identically to the uninterrupted run (learning
@@ -160,12 +143,17 @@ class Simulation
     makeThermalEnvironment(const SimulationConfig &config,
                            const power::DataCenterLayout &layout);
 
+    /** One instrumented run() call's stats (telemetry on only). */
+    struct RunTelemetry;
+
     void buildTenants();
-    /** Advance one minute: the engine's only slot loop body. */
-    void stepMinute();
+    /** Advance one minute: the engine's only slot loop body. `stats` is
+     * null when telemetry is off. */
+    void stepMinute(RunTelemetry *stats);
     void applyFaultsForMinute();
     Kilowatts benignActualPower() const;
-    AttackObservation makeObservation(bool capping, bool outage);
+    AttackObservation makeObservation(bool capping, bool outage,
+                                      RunTelemetry *stats);
 
     SimulationConfig config_;
     power::DataCenterLayout layout_;
@@ -199,9 +187,6 @@ class Simulation
 
     std::vector<Kilowatts> lastHeat_;
     std::vector<Kilowatts> lastMetered_;
-    /** Side-channel per-sample scratch arena: sized on the first minute,
-     * reused every minute after (no per-slot heap traffic). */
-    std::vector<double> sampleScratch_;
 
     SimulationMetrics metrics_;
     MinuteCallback callback_;
@@ -220,8 +205,6 @@ class Simulation
     bool prevFaultsActive_ = false;
     int prevDegradedTier_ = 0;
     bool batteryDepletedLatched_ = false;
-    bool phaseClock_ = false;
-    SlotPhaseTimes phaseTimes_;
 };
 
 /** Factory helpers used across examples and benches. */

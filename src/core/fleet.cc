@@ -50,20 +50,22 @@ FleetSimulation::run(MinuteIndex minutes)
     // Sites share no mutable state (each has its own traces, thermal
     // history and pre-forked RNG streams), so they advance in parallel,
     // each recording its per-minute outage flag into its own pre-sized
-    // scratch row; the serial aggregation below then walks minutes in
-    // order. The rows persist across calls (assign() only reallocates
-    // when a call spans more minutes than any before it), and the pool
+    // scratch row from its minute callback (which runs after the
+    // operator's reaction, the last state change of a slot); the serial
+    // aggregation below then walks minutes in order. The rows persist
+    // across calls (assign() only reallocates when a call spans more
+    // minutes than any before it), and the callbacks' and the pool
     // body's two captured words fit std::function's inline buffer.
     downScratch_.resize(num_sites);
-    for (auto &row : downScratch_)
-        row.assign(span, 0);
-    util::parallelFor(0, num_sites, [this, span](std::size_t s) {
-        Simulation &site = *sites_[s];
-        for (std::size_t m = 0; m < span; ++m) {
-            site.run(1);
-            downScratch_[s][m] =
-                site.coloOperator().state() == OperatorState::Outage;
-        }
+    for (std::size_t s = 0; s < num_sites; ++s) {
+        downScratch_[s].assign(span, 0);
+        sites_[s]->setMinuteCallback([this, s](const MinuteRecord &r) {
+            downScratch_[s][static_cast<std::size_t>(r.time - now_)] =
+                sites_[s]->coloOperator().state() == OperatorState::Outage;
+        });
+    }
+    util::parallelFor(0, num_sites, [this, minutes](std::size_t s) {
+        sites_[s]->run(minutes);
     });
 
     for (std::size_t m = 0; m < span; ++m) {

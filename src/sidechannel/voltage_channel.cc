@@ -86,33 +86,6 @@ VoltageSideChannel::estimateAveraged(Kilowatts true_total, int samples)
     return Kilowatts(mean_kw);
 }
 
-Kilowatts
-VoltageSideChannel::estimateAveraged(Kilowatts true_total, int samples,
-                                     std::vector<double> &sample_scratch)
-{
-    if (faultMode_ != SensorFaultMode::Healthy) {
-        sample_scratch.clear();
-        return estimateTotalLoad(true_total);
-    }
-
-    samples = std::max(1, samples);
-    // resize keeps capacity: after the first call this allocates nothing.
-    sample_scratch.resize(static_cast<std::size_t>(samples));
-    double sum_kw = 0.0;
-    for (int k = 0; k < samples; ++k) {
-        const double est = estimateTotalLoad(true_total).value();
-        sample_scratch[static_cast<std::size_t>(k)] = est;
-        sum_kw += est;
-    }
-    const double mean_kw = sum_kw / samples;
-    lastRelativeError_ =
-        true_total.value() > 1e-9
-            ? (mean_kw - true_total.value()) / true_total.value()
-            : 0.0;
-    lastHealthyEstimate_ = Kilowatts(mean_kw);
-    return Kilowatts(mean_kw);
-}
-
 void
 VoltageSideChannel::saveState(util::StateWriter &writer) const
 {

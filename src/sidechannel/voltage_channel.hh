@@ -91,18 +91,11 @@ class VoltageSideChannel
      */
     Kilowatts estimateAveraged(Kilowatts true_total, int samples);
 
-    /**
-     * As above, but records the individual per-sample estimates (kW)
-     * into `sample_scratch`, reusing the caller's buffer: the vector is
-     * resized to `samples` (a no-op after the first minute, so the
-     * steady-state slot loop stays allocation-free) instead of building
-     * a temporary per call. Draws the same RNG normals as the two-arg
-     * overload -- the two are bit-identical in their returned estimate
-     * and stream position. Faulted modes record nothing (scratch is
-     * cleared): a wedged DAQ produces no fresh samples.
-     */
+    /** Older scratch-buffer form: the same estimate; the buffer is
+     * left untouched. */
     Kilowatts estimateAveraged(Kilowatts true_total, int samples,
-                               std::vector<double> &sample_scratch);
+                               std::vector<double> & /*sample_scratch*/)
+    { return estimateAveraged(true_total, samples); }
 
     /** Relative error of the most recent estimate (est - true) / true. */
     double lastRelativeError() const { return lastRelativeError_; }

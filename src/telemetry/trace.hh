@@ -3,9 +3,9 @@
  * Profiling hooks: RAII wall-clock spans recorded into the stats registry
  * and (optionally) into a Chrome trace-event JSON file.
  *
- * A TraceSpan times a phase of real work -- the per-minute thermal step,
- * a side-channel estimate, one CFD spike column, one campaign of a bench
- * batch, one thread-pool task -- and on destruction:
+ * A TraceSpan times a phase of real work -- one Simulation::run call, a
+ * set-up stage, one CFD spike column, one campaign of a bench batch, one
+ * thread-pool task -- and on destruction:
  *
  *  1. feeds the duration (microseconds) into the registry histogram
  *     `profile.<name>_us`, so even a metrics-only run gets a per-phase
@@ -121,9 +121,6 @@ class TraceSpan
     std::chrono::steady_clock::time_point start_{};
     bool armed_ = false;
 };
-
-/** Alias matching the gem5-ish naming used around the codebase. */
-using ScopedTimer = TraceSpan;
 
 } // namespace ecolo::telemetry
 

@@ -3,12 +3,13 @@
  * Heap-allocation regression guard for the steady-state slot loop.
  *
  * The per-minute step is the hot path of every year-long campaign; the
- * streaming thermal kernel, the side-channel sample arena and the fleet
- * scratch rows exist so that, once warmed up, stepping the simulation
- * touches the allocator zero times per slot -- alone, through the batch
- * runner, or as a fleet site on the thread pool. This binary replaces the
- * global operator new with a counting wrapper (which is why these tests
- * live in their own executable) and asserts the count stays flat across
+ * streaming thermal kernel and the fleet scratch rows exist so that,
+ * once warmed up, stepping the simulation touches the allocator zero
+ * times per slot -- alone, through the batch runner, or as a fleet site
+ * on the thread pool. With telemetry on, a run() call allocates only to
+ * publish its stats. This binary replaces the global operator new with
+ * a counting wrapper (which is why these tests live in their own
+ * executable) and asserts the count stays flat across
  * hundreds of simulated minutes -- in the healthy steady state and in
  * degraded mode with active cooling and sensor faults. The wrapper also
  * records the largest single request, which bounds what a warm
@@ -28,6 +29,7 @@
 #include "core/lane_batch.hh"
 #include "core/setup_cache.hh"
 #include "faults/schedule.hh"
+#include "telemetry/telemetry.hh"
 
 namespace {
 
@@ -136,12 +138,30 @@ TEST(ZeroAllocation, SteadyStateSlotLoopIsAllocationFree)
     config.seed = 99;
     Simulation sim(config, makeMyopicPolicy(config, Kilowatts(7.4)));
 
-    // Warmup sizes every scratch arena (thermal ring, side-channel
-    // sample buffer, rise vectors) and fills the thermal horizon.
+    // Warmup sizes every scratch arena (thermal ring, rise vectors) and
+    // fills the thermal horizon.
     sim.run(30);
 
     EXPECT_EQ(allocationsDuring(sim, 360), 0)
         << "the healthy steady-state slot loop touched the heap";
+}
+
+TEST(ZeroAllocation, TelemetryOnSlotLoopAllocatesPerRunNotPerSlot)
+{
+    // With telemetry on (stats only, no trace session) a run() call
+    // resolves and publishes its stats once; its slots touch no stat by
+    // name, so a day of slots allocates no more than an hour.
+    telemetry::resetForTest();
+    telemetry::setEnabled(true);
+    auto config = SimulationConfig::paperDefault();
+    config.seed = 99;
+    Simulation sim(config, std::make_unique<StandbyPolicy>());
+    sim.run(60); // warmup: scratch sized, every stat registered
+
+    const long long hour = allocationsDuring(sim, 60);
+    const long long day = allocationsDuring(sim, kMinutesPerDay);
+    telemetry::resetForTest();
+    EXPECT_LE(day, hour) << "a telemetry-on slot touched the heap";
 }
 
 TEST(ZeroAllocation, DegradedModeSlotLoopIsAllocationFree)

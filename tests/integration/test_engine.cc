@@ -9,6 +9,7 @@
 
 #include "core/engine.hh"
 #include "core/setup_cache.hh"
+#include "stat_reader.hh"
 #include "telemetry/telemetry.hh"
 #include "util/state_io.hh"
 
@@ -124,28 +125,35 @@ TEST(Engine, PhaseClockTimesEverySlotAndMovesNothing)
     auto config = SimulationConfig::paperDefault();
     Simulation timed(config, makeMyopicPolicy(config, Kilowatts(7.3)));
     Simulation plain(config, makeMyopicPolicy(config, Kilowatts(7.3)));
-    timed.setPhaseClock(true);
+    telemetry::resetForTest();
+    telemetry::setEnabled(true); // telemetry's switch is the clock's
     timed.runDays(1.0);
+    telemetry::setEnabled(false);
     plain.runDays(1.0);
     EXPECT_EQ(serializedState(timed), serializedState(plain));
 
-    const SlotPhaseTimes &times = timed.slotPhaseTimes();
-    EXPECT_EQ(plain.slotPhaseTimes().slots, 0u);
     if (!telemetry::kCompiledIn) {
-        EXPECT_EQ(times.slots, 0u);
+        EXPECT_EQ(telemetry::registry().find("engine.phase.slots"),
+                  nullptr);
         return;
     }
-    EXPECT_EQ(times.slots, static_cast<std::uint64_t>(kMinutesPerDay));
-    std::uint64_t total = 0;
-    for (std::uint64_t ns : times.ns)
-        total += ns;
-    EXPECT_GT(total, 0u);
-    EXPECT_GT(times.ns[static_cast<std::size_t>(SlotPhase::Thermal)], 0u);
+    const auto &reg = telemetry::registry();
+    EXPECT_EQ(test::readStat(reg, "engine.phase.slots"),
+              static_cast<double>(kMinutesPerDay));
+    double total = 0.0;
+    for (std::size_t p = 0; p < kNumSlotPhases; ++p) {
+        total += test::readStat(
+            reg, std::string("engine.phase.") +
+                     slotPhaseName(static_cast<SlotPhase>(p)) + "_ns");
+    }
+    EXPECT_GT(total, 0.0);
+    EXPECT_GT(test::readStat(reg, "engine.phase.thermal_ns"), 0.0);
 
-    timed.setPhaseClock(false);
+    // Telemetry off: the clock times nothing more.
     timed.runDays(1.0);
-    EXPECT_EQ(timed.slotPhaseTimes().slots,
-              static_cast<std::uint64_t>(kMinutesPerDay));
+    EXPECT_EQ(test::readStat(reg, "engine.phase.slots"),
+              static_cast<double>(kMinutesPerDay));
+    telemetry::resetForTest();
 }
 
 TEST(Engine, StreamingThermalModeMatchesDense)

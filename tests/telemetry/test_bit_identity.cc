@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/engine.hh"
+#include "stat_reader.hh"
 #include "telemetry/telemetry.hh"
 #include "util/state_io.hh"
 
@@ -50,16 +51,13 @@ TEST(TelemetryBitIdentity, EnabledRunMatchesDisabledRunExactly)
     telemetry::trace().end();
 
     // The instrumented run really collected (unless compiled out): every
-    // simulated minute was counted and the profile histograms exist.
+    // simulated minute was counted and every slot phase timed.
     if (telemetry::kCompiledIn) {
-        const auto *minutes = telemetry::registry().find("engine.minutes");
-        ASSERT_NE(minutes, nullptr);
-        EXPECT_EQ(
-            static_cast<const telemetry::Counter *>(minutes)->value(),
-            static_cast<std::uint64_t>(kDays * kMinutesPerDay));
-        EXPECT_NE(
-            telemetry::registry().find("profile.engine.thermal_step_us"),
-            nullptr);
+        const auto &reg = telemetry::registry();
+        const double minutes = kDays * kMinutesPerDay;
+        EXPECT_EQ(test::readStat(reg, "engine.minutes"), minutes);
+        EXPECT_EQ(test::readStat(reg, "engine.phase.slots"), minutes);
+        EXPECT_GT(test::readStat(reg, "engine.phase.thermal_ns"), 0.0);
         EXPECT_GT(telemetry::trace().eventCount(), 0u);
     }
 
@@ -67,6 +65,16 @@ TEST(TelemetryBitIdentity, EnabledRunMatchesDisabledRunExactly)
     EXPECT_EQ(baseline.size(), instrumented.size());
     EXPECT_TRUE(baseline == instrumented)
         << "telemetry perturbed the simulation state";
+
+    // The trace holds no per-slot spans: a run twice as long writes as
+    // many events.
+    if (telemetry::kCompiledIn) {
+        const std::size_t two_day_events = telemetry::trace().eventCount();
+        telemetry::trace().begin();
+        (void)runAndSerialize(kDays / 2.0);
+        telemetry::trace().end();
+        EXPECT_EQ(telemetry::trace().eventCount(), two_day_events);
+    }
 
     telemetry::resetForTest();
 }

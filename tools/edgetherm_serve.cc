@@ -20,7 +20,7 @@
  *   --chaos FILE      seed-reproducible network fault schedule applied
  *                     to every connection (chaos.* keys; see
  *                     docs/serving.md)
- *   --metrics-out FILE  dump serve.* + engine metrics JSON on exit
+ *   --metrics-out FILE  dump the serve.* metrics JSON on exit
  *   --log-level LEVEL error | warn | info | debug
  *   --help            this text
  *
