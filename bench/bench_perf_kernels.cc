@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,6 +173,10 @@ counterValue(const std::string &name)
     return std::isnan(v) ? 0.0 : v;
 }
 
+/** Builds the attack policy a campaign benchmark runs. */
+using PolicyFactory = std::function<std::unique_ptr<core::AttackPolicy>(
+    const core::SimulationConfig &)>;
+
 /**
  * Where a slot's time goes: one more run, outside the timed loop, with
  * telemetry on, which times every slot phase. Each phase_<name>_ns row
@@ -183,11 +188,12 @@ counterValue(const std::string &name)
  */
 void
 reportSlotPhases(benchmark::State &state,
-                 const core::SimulationConfig &config, double days)
+                 const core::SimulationConfig &config, double days,
+                 const PolicyFactory &make_policy)
 {
     if (!telemetry::kCompiledIn)
         return;
-    core::Simulation sim(config, core::makeForesightedPolicy(config, 14.0));
+    core::Simulation sim(config, make_policy(config));
     std::vector<std::string> names;
     for (std::size_t p = 0; p < core::kNumSlotPhases; ++p)
         names.push_back(core::slotPhaseName(static_cast<core::SlotPhase>(p)));
@@ -220,23 +226,22 @@ reportSlotPhases(benchmark::State &state,
         state.SkipWithError("slot phases do not sum to the loop time");
 }
 
+/**
+ * Set-up (trace synthesis, scale bisection, matrix + factorization, or
+ * cache hits on a warm SetupCache) vs. slot loop, reported separately:
+ * the split is what the SetupCache sharing in runCampaigns attacks, and
+ * watching both counters keeps a set-up regression from hiding inside
+ * an overall time dominated by the loop (or vice versa).
+ */
 void
-benchCampaign(benchmark::State &state, KernelMode mode)
+timeCampaign(benchmark::State &state, const core::SimulationConfig &config,
+             double days, const PolicyFactory &make_policy)
 {
-    auto config = core::SimulationConfig::paperDefault();
-    config.thermalMode = mode;
-    const double days = 2.0;
-    // Setup (trace synthesis, scale bisection, matrix + factorization)
-    // vs. slot loop, reported separately: the split is what the
-    // SetupCache sharing in runCampaigns attacks, and watching both
-    // counters keeps a setup regression from hiding inside an overall
-    // time dominated by the loop (or vice versa).
     std::chrono::steady_clock::duration setup_time{};
     std::chrono::steady_clock::duration loop_time{};
     for (auto _ : state) {
         const auto t0 = std::chrono::steady_clock::now();
-        core::Simulation sim(
-            config, core::makeForesightedPolicy(config, 14.0));
+        core::Simulation sim(config, make_policy(config));
         const auto t1 = std::chrono::steady_clock::now();
         sim.runDays(days);
         const auto t2 = std::chrono::steady_clock::now();
@@ -255,7 +260,18 @@ benchCampaign(benchmark::State &state, KernelMode mode)
     state.counters["loop_ns_per_slot"] =
         std::chrono::duration<double, std::nano>(loop_time).count() /
         (iters * days * 24 * 60);
-    reportSlotPhases(state, config, days);
+    reportSlotPhases(state, config, days, make_policy);
+}
+
+void
+benchCampaign(benchmark::State &state, KernelMode mode)
+{
+    auto config = core::SimulationConfig::paperDefault();
+    config.thermalMode = mode;
+    timeCampaign(state, config, 2.0, [](const core::SimulationConfig &c) {
+        return std::unique_ptr<core::AttackPolicy>(
+            core::makeForesightedPolicy(c, 14.0));
+    });
 }
 
 void
@@ -271,6 +287,29 @@ BM_CampaignStreaming(benchmark::State &state)
     benchCampaign(state, KernelMode::Auto);
 }
 BENCHMARK(BM_CampaignStreaming)->Unit(benchmark::kMillisecond);
+
+/**
+ * One member of a served Fig. 12 fleet: a 1-day myopic run at the
+ * default threshold on a warm SetupCache, so set-up is cache hits and
+ * the slot loop is most of each iteration. Not in the perf baseline or
+ * the CI gate's filter.
+ */
+void
+BM_CampaignMyopic(benchmark::State &state)
+{
+    auto config = core::SimulationConfig::paperDefault();
+    config.setupCache = std::make_shared<core::SetupCache>();
+    const Kilowatts threshold(core::defaultPolicyParam("myopic"));
+    const PolicyFactory make_policy =
+        [threshold](const core::SimulationConfig &c) {
+            return core::makeMyopicPolicy(c, threshold);
+        };
+    {
+        core::Simulation warm(config, make_policy(config)); // fills it
+    }
+    timeCampaign(state, config, 1.0, make_policy);
+}
+BENCHMARK(BM_CampaignMyopic)->Unit(benchmark::kMillisecond);
 
 // ---- Cold set-up: one default Simulation on a fresh SetupCache. ----
 // Every iteration generates the year-long traces and runs the scale

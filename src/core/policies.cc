@@ -151,10 +151,23 @@ ForesightedPolicy::decide(const AttackObservation &obs)
         // slots.
         return idleAction(obs);
     }
-    const std::size_t state =
-        stateSpace_.indexOf(obs.batterySoc, obs.estimatedLoad);
-    const int action = learner_.selectAction(state, rng_, params_.explore);
+    const int action =
+        learner_.selectAction(stateOf(obs), rng_, params_.explore);
     return static_cast<AttackAction>(action);
+}
+
+std::size_t
+ForesightedPolicy::stateOf(const AttackObservation &obs)
+{
+    // indexOf is a pure function of (soc, load), so a repeat of the
+    // last pair takes its index; the NaN initial pair never repeats.
+    if (obs.batterySoc != memoSoc_ ||
+        obs.estimatedLoad.value() != memoLoad_) {
+        memoSoc_ = obs.batterySoc;
+        memoLoad_ = obs.estimatedLoad.value();
+        memoState_ = stateSpace_.indexOf(obs.batterySoc, obs.estimatedLoad);
+    }
+    return memoState_;
 }
 
 void
@@ -164,10 +177,8 @@ ForesightedPolicy::feedback(const AttackObservation &prev,
 {
     if (prev.cappingActive || prev.outage)
         return; // forced compliance slots carry no decision to learn from
-    const std::size_t state =
-        stateSpace_.indexOf(prev.batterySoc, prev.estimatedLoad);
-    const std::size_t next_state =
-        stateSpace_.indexOf(next.batterySoc, next.estimatedLoad);
+    const std::size_t state = stateOf(prev);
+    const std::size_t next_state = stateOf(next);
 
     // Eqn. (2): w * [T - T0]^+ - beta(a).
     const double rise = std::max(

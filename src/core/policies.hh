@@ -21,6 +21,7 @@
 #ifndef ECOLO_CORE_POLICIES_HH
 #define ECOLO_CORE_POLICIES_HH
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -154,11 +155,6 @@ class ForesightedPolicy : public AttackPolicy
 
     ForesightedPolicy(Params params, Rng rng);
 
-    // The learner holds a post-state callback bound to this object, so
-    // copying/moving would leave the copy consulting the original.
-    ForesightedPolicy(const ForesightedPolicy &) = delete;
-    ForesightedPolicy &operator=(const ForesightedPolicy &) = delete;
-
     const char *name() const override { return "Foresighted"; }
     AttackAction decide(const AttackObservation &obs) override;
     void feedback(const AttackObservation &prev, AttackAction action,
@@ -199,11 +195,19 @@ class ForesightedPolicy : public AttackPolicy
   private:
     std::size_t postStateOf(std::size_t state, int action) const;
     double socDeltaPerMinute(AttackAction action) const;
+    /** stateSpace_.indexOf of the observation's (soc, load). */
+    std::size_t stateOf(const AttackObservation &obs);
 
     Params params_;
     StateSpace stateSpace_;
     BatchQLearning learner_;
     Rng rng_;
+    /** The last (soc, load) stateOf indexed, and its state: a slot's
+     * decide and the next slot's feedback index the same observation,
+     * as do that feedback's next state and the same slot's decide. */
+    double memoSoc_ = std::numeric_limits<double>::quiet_NaN();
+    double memoLoad_ = std::numeric_limits<double>::quiet_NaN();
+    std::size_t memoState_ = 0;
 };
 
 /**

@@ -32,25 +32,33 @@ scheduleEpsilon(long days, const LearnerParams &params)
 
 BatchQLearning::BatchQLearning(std::size_t num_states,
                                std::size_t num_actions,
-                               PostStateFn post_state, LearnerParams params)
-    : numStates_(num_states), numActions_(num_actions),
-      postState_(std::move(post_state)), params_(params),
+                               const PostStateFn &post_state,
+                               LearnerParams params)
+    : numStates_(num_states), numActions_(num_actions), params_(params),
+      post_(num_states * num_actions),
       q_(num_states * num_actions, 0.0), v_(num_states, 0.0),
       delta_(scheduleDelta(1, params)),
       epsilon_(scheduleEpsilon(1, params))
 {
     ECOLO_ASSERT(num_states > 0 && num_actions > 0, "empty learner tables");
-    ECOLO_ASSERT(postState_ != nullptr, "post-state function required");
+    ECOLO_ASSERT(post_state != nullptr, "post-state function required");
     ECOLO_ASSERT(params_.gamma > 0.0 && params_.gamma < 1.0,
                  "discount factor out of (0,1): ", params_.gamma);
+    for (std::size_t s = 0; s < num_states; ++s) {
+        for (std::size_t a = 0; a < num_actions; ++a) {
+            const std::size_t post = post_state(s, static_cast<int>(a));
+            ECOLO_ASSERT(post < numStates_, "post state out of range: ",
+                         post);
+            post_[s * num_actions + a] = post;
+        }
+    }
 }
 
 double
 BatchQLearning::actionScore(std::size_t state, int action) const
 {
-    const std::size_t post = postState_(state, action);
-    ECOLO_ASSERT(post < numStates_, "post state out of range: ", post);
-    return qValue(state, action) + params_.gamma * v_[post];
+    const double q = qValue(state, action); // range-checks both
+    return q + params_.gamma * v_[post_[state * numActions_ + action]];
 }
 
 int
@@ -96,9 +104,8 @@ BatchQLearning::update(std::size_t state, int action, double reward,
         c_next = std::max(c_next, actionScore(next_state, a));
 
     // Eqn. (7): propagate to the post state we just came through.
-    const std::size_t post = postState_(state, action);
-    ECOLO_ASSERT(post < numStates_, "post state out of range: ", post);
-    v_[post] = (1.0 - delta_) * v_[post] + delta_ * c_next;
+    double &v = v_[post_[state * numActions_ + action]];
+    v = (1.0 - delta_) * v + delta_ * c_next;
 }
 
 void

@@ -32,7 +32,8 @@
 
 namespace ecolo::core {
 
-/** Maps (state, action) to the deterministic post state. */
+/** Maps (state, action) to the deterministic post state. The learner
+ * tabulates it once at construction. */
 using PostStateFn = std::function<std::size_t(std::size_t, int)>;
 
 /** Shared learner tuning. */
@@ -50,7 +51,7 @@ class BatchQLearning
 {
   public:
     BatchQLearning(std::size_t num_states, std::size_t num_actions,
-                   PostStateFn post_state, LearnerParams params = {});
+                   const PostStateFn &post_state, LearnerParams params = {});
 
     std::size_t numStates() const { return numStates_; }
     std::size_t numActions() const { return numActions_; }
@@ -98,8 +99,8 @@ class BatchQLearning
   private:
     std::size_t numStates_;
     std::size_t numActions_;
-    PostStateFn postState_;
     LearnerParams params_;
+    std::vector<std::size_t> post_; //!< [state][action] post state
     std::vector<double> q_; //!< [state][action]
     std::vector<double> v_; //!< [post state]
     double delta_;

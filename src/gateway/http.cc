@@ -104,48 +104,6 @@ HttpRequest::header(const std::string &lower_name) const
     return nullptr;
 }
 
-std::string
-HttpRequest::queryParam(const std::string &name) const
-{
-    std::size_t pos = 0;
-    while (pos <= query.size()) {
-        const std::size_t amp = query.find('&', pos);
-        const std::size_t end =
-            amp == std::string::npos ? query.size() : amp;
-        const std::string pair = query.substr(pos, end - pos);
-        const std::size_t eq = pair.find('=');
-        const std::string key =
-            eq == std::string::npos ? pair : pair.substr(0, eq);
-        if (key == name)
-            return eq == std::string::npos ? "" : pair.substr(eq + 1);
-        if (amp == std::string::npos)
-            break;
-        pos = amp + 1;
-    }
-    return "";
-}
-
-bool
-HttpRequest::hasQueryParam(const std::string &name) const
-{
-    std::size_t pos = 0;
-    while (pos <= query.size()) {
-        const std::size_t amp = query.find('&', pos);
-        const std::size_t end =
-            amp == std::string::npos ? query.size() : amp;
-        const std::string pair = query.substr(pos, end - pos);
-        const std::size_t eq = pair.find('=');
-        const std::string key =
-            eq == std::string::npos ? pair : pair.substr(0, eq);
-        if (key == name)
-            return true;
-        if (amp == std::string::npos)
-            break;
-        pos = amp + 1;
-    }
-    return false;
-}
-
 // ---- HttpRequestParser ----
 
 void

@@ -51,10 +51,6 @@ struct HttpRequest
 
     /** First header value by lower-case name; nullptr when absent. */
     const std::string *header(const std::string &lower_name) const;
-    /** Value of `name` in the query string ("" when absent/bare). */
-    std::string queryParam(const std::string &name) const;
-    /** True when the query contains `name` (bare or with a value). */
-    bool hasQueryParam(const std::string &name) const;
 };
 
 /**

@@ -9,26 +9,6 @@
 
 namespace ecolo::gateway {
 
-const char *
-toString(JsonValue::Kind kind)
-{
-    switch (kind) {
-    case JsonValue::Kind::Null:
-        return "null";
-    case JsonValue::Kind::Bool:
-        return "bool";
-    case JsonValue::Kind::Number:
-        return "number";
-    case JsonValue::Kind::String:
-        return "string";
-    case JsonValue::Kind::Array:
-        return "array";
-    case JsonValue::Kind::Object:
-        return "object";
-    }
-    return "?";
-}
-
 const JsonValue *
 JsonValue::member(const std::string &key) const
 {

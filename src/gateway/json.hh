@@ -90,8 +90,6 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-const char *toString(JsonValue::Kind kind);
-
 /** `s` as a quoted JSON string literal (quotes included). */
 std::string jsonQuote(const std::string &s);
 

@@ -51,13 +51,15 @@ lanes(std::span<const double> samples, double idle, double dyn,
 
 // One body per ISA at that ISA's native width, picked once at load time
 // by the IFUNC GCC emits for the target-versioned overloads (the ISA
-// set of the thermal kernels' target_clones). target_clones itself
-// cannot vary the vector width per clone, and an 8-wide vector on the
-// narrower clones keeps its sums on the stack. When the build flags
+// set of the thermal kernel's bodies). target_clones cannot vary the
+// vector width per clone, and an 8-wide vector on the narrower clones
+// keeps its sums on the stack. When the build flags
 // already cover a version's ISA (-march=native), GCC calls the best
 // such version directly and drops the rest, hence [[gnu::unused]].
-// Sanitizer builds take the baseline body for the reason given in
-// thermal/stream_kernels.cc.
+// Sanitizer builds take the baseline body: gcc instruments an IFUNC
+// resolver like any other function, and under TSan/ASan it calls into
+// the sanitizer runtime during IRELATIVE relocation, before the
+// runtime's TLS exists, so the process segfaults at load.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
         && !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
 

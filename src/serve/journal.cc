@@ -98,19 +98,6 @@ RequestJournal::RequestJournal(RequestJournal &&other) noexcept
       recovered_(std::move(other.recovered_))
 {}
 
-RequestJournal &
-RequestJournal::operator=(RequestJournal &&other) noexcept
-{
-    if (this != &other) {
-        if (fd_ >= 0)
-            ::close(fd_);
-        path_ = std::move(other.path_);
-        fd_ = std::exchange(other.fd_, -1);
-        recovered_ = std::move(other.recovered_);
-    }
-    return *this;
-}
-
 RequestJournal::~RequestJournal()
 {
     if (fd_ >= 0)

@@ -66,7 +66,6 @@ class RequestJournal
     static util::Result<RequestJournal> open(const std::string &dir);
 
     RequestJournal(RequestJournal &&other) noexcept;
-    RequestJournal &operator=(RequestJournal &&other) noexcept;
     RequestJournal(const RequestJournal &) = delete;
     RequestJournal &operator=(const RequestJournal &) = delete;
     ~RequestJournal();

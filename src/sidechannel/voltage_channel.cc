@@ -16,6 +16,34 @@ VoltageSideChannel::VoltageSideChannel(SideChannelParams params, Rng rng)
                  "ripple gain must be positive");
 }
 
+VoltageSideChannel::Gains
+VoltageSideChannel::gains() const
+{
+    // The attacker's calibration error perturbs the gain it *believes*
+    // in; the physical ripple follows the true one.
+    Gains g;
+    g.believed = params_.rippleGainVoltsPerKw * (1.0 + calibrationBias_);
+    g.noiseRms = std::sqrt(
+        params_.adcNoiseVolts * params_.adcNoiseVolts +
+        params_.jammingNoiseVolts * params_.jammingNoiseVolts);
+    return g;
+}
+
+double
+VoltageSideChannel::drawEstimate(double true_kw, const Gains &g)
+{
+    // Forward path: the physical ripple amplitude on the bus.
+    const double amplitude = params_.baselineRippleVolts +
+                             params_.rippleGainVoltsPerKw * true_kw +
+                             rng_.normal(0.0, g.noiseRms);
+
+    // Inverse path: the attacker's estimator.
+    double estimate = (amplitude - params_.baselineRippleVolts) / g.believed;
+    if (params_.extraRelativeNoise > 0.0)
+        estimate += true_kw * rng_.normal(0.0, params_.extraRelativeNoise);
+    return std::max(0.0, estimate);
+}
+
 Kilowatts
 VoltageSideChannel::estimateTotalLoad(Kilowatts true_total)
 {
@@ -36,27 +64,7 @@ VoltageSideChannel::estimateTotalLoad(Kilowatts true_total)
         return lastHealthyEstimate_;
     }
 
-    // Forward path: the physical ripple amplitude on the bus. The
-    // attacker's calibration error perturbs the gain it *believes* in.
-    const double true_gain = params_.rippleGainVoltsPerKw;
-    const double believed_gain = true_gain * (1.0 + calibrationBias_);
-
-    const double noise_rms = std::sqrt(
-        params_.adcNoiseVolts * params_.adcNoiseVolts +
-        params_.jammingNoiseVolts * params_.jammingNoiseVolts);
-    const double amplitude = params_.baselineRippleVolts +
-                             true_gain * true_total.value() +
-                             rng_.normal(0.0, noise_rms);
-
-    // Inverse path: the attacker's estimator.
-    double estimate =
-        (amplitude - params_.baselineRippleVolts) / believed_gain;
-    if (params_.extraRelativeNoise > 0.0) {
-        estimate += true_total.value() *
-                    rng_.normal(0.0, params_.extraRelativeNoise);
-    }
-    estimate = std::max(0.0, estimate);
-
+    const double estimate = drawEstimate(true_total.value(), gains());
     lastRelativeError_ =
         true_total.value() > 1e-9
             ? (estimate - true_total.value()) / true_total.value()
@@ -73,10 +81,14 @@ VoltageSideChannel::estimateAveraged(Kilowatts true_total, int samples)
     if (faultMode_ != SensorFaultMode::Healthy)
         return estimateTotalLoad(true_total);
 
+    // The same draws as `samples` estimateTotalLoad calls, without their
+    // per-sample error and last-estimate stores, which the mean's replace.
+    ECOLO_ASSERT(true_total.value() >= 0.0, "negative true load");
     samples = std::max(1, samples);
+    const Gains g = gains();
     double sum_kw = 0.0;
     for (int k = 0; k < samples; ++k)
-        sum_kw += estimateTotalLoad(true_total).value();
+        sum_kw += drawEstimate(true_total.value(), g);
     const double mean_kw = sum_kw / samples;
     lastRelativeError_ =
         true_total.value() > 1e-9

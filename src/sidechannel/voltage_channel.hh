@@ -117,6 +117,16 @@ class VoltageSideChannel
     void loadState(util::StateReader &reader);
 
   private:
+    /** Per-call constants of the healthy signal chain. */
+    struct Gains
+    {
+        double believed; //!< the gain the attacker inverts with
+        double noiseRms; //!< ADC and jamming noise combined
+    };
+    Gains gains() const;
+    /** One healthy ripple observation of `true_kw`, inverted to kW. */
+    double drawEstimate(double true_kw, const Gains &g);
+
     SideChannelParams params_;
     Rng rng_;
     double calibrationBias_;

@@ -35,29 +35,41 @@ ThermalEnvironment::stepMinute(const std::vector<Kilowatts> &server_heat,
     ECOLO_ASSERT(server_heat.size() == numServers(),
                  "heat vector size mismatch: ", server_heat.size(), " vs ",
                  numServers());
-    cooling_.step(total_heat, minutes(1));
+    // The push first: the cooling step reads the caller's heat total,
+    // whose serial sum can then finish while the kernel runs.
     matrixModel_.pushPowers(server_heat);
-    matrixModel_.computeAllRises(riseCache_);
-    lastHeatKw_.resize(server_heat.size());
-    for (std::size_t i = 0; i < server_heat.size(); ++i)
-        lastHeatKw_[i] = server_heat[i].value();
+    cooling_.step(total_heat, minutes(1));
+    if (streaming()) {
+        summary_ = matrixModel_.streamingSummary();
+    } else {
+        matrixModel_.computeAllRises(denseRises_);
+        summary_ = kernels::summarizeRises(denseRises_.data(),
+                                           denseRises_.size());
+    }
+}
+
+const std::vector<double> &
+ThermalEnvironment::rises() const
+{
+    return streaming() ? matrixModel_.streamingRises() : denseRises_;
 }
 
 Celsius
 ThermalEnvironment::inletTemperature(std::size_t i) const
 {
-    // An empty cache means no step since construction or reset, so the
-    // power history is all zero and the matrix adds no rise.
-    if (i >= riseCache_.size())
+    // Before any step the dense rises are empty and the streaming ones
+    // zero: the power history is all zero and the matrix adds no rise.
+    const std::vector<double> &r = rises();
+    if (i >= r.size())
         return cooling_.supplyTemperature();
-    return cooling_.supplyTemperature() + CelsiusDelta(riseCache_[i]);
+    return cooling_.supplyTemperature() + CelsiusDelta(r[i]);
 }
 
 Celsius
 ThermalEnvironment::outletTemperature(std::size_t i) const
 {
     const double heat_w =
-        i < lastHeatKw_.size() ? lastHeatKw_[i] * 1000.0 : 0.0;
+        i < numServers() ? matrixModel_.latestPowers()[i] * 1000.0 : 0.0;
     return inletTemperature(i) +
            CelsiusDelta(heat_w / serverAirflowWPerK_);
 }
@@ -65,24 +77,14 @@ ThermalEnvironment::outletTemperature(std::size_t i) const
 Celsius
 ThermalEnvironment::maxInletTemperature() const
 {
-    if (riseCache_.empty())
-        return cooling_.supplyTemperature();
-    double best = riseCache_[0];
-    for (double r : riseCache_)
-        best = std::max(best, r);
-    return cooling_.supplyTemperature() + CelsiusDelta(best);
+    return cooling_.supplyTemperature() + CelsiusDelta(summary_.max);
 }
 
 Celsius
 ThermalEnvironment::meanInletTemperature() const
 {
-    if (riseCache_.empty())
-        return cooling_.supplyTemperature();
-    double sum = 0.0;
-    for (double r : riseCache_)
-        sum += r;
     return cooling_.supplyTemperature() +
-           CelsiusDelta(sum / static_cast<double>(riseCache_.size()));
+           CelsiusDelta(summary_.sum / static_cast<double>(numServers()));
 }
 
 void
@@ -90,18 +92,27 @@ ThermalEnvironment::reset()
 {
     matrixModel_.reset();
     cooling_.reset();
-    riseCache_.clear();
-    lastHeatKw_.clear();
+    denseRises_.clear();
+    summary_ = {};
 }
 
 void
 ThermalEnvironment::saveState(util::StateWriter &writer) const
 {
+    // The rises and the last heat vector (empty before the first step)
+    // are derived from the model's state; loadState reads past them.
     writer.tag("TENV");
     matrixModel_.saveState(writer);
     cooling_.saveState(writer);
-    writer.f64Vector(riseCache_);
-    writer.f64Vector(lastHeatKw_);
+    std::vector<double> saved_rises;
+    std::vector<double> last_heat;
+    if (!matrixModel_.empty()) {
+        saved_rises = rises();
+        const double *latest = matrixModel_.latestPowers();
+        last_heat.assign(latest, latest + numServers());
+    }
+    writer.f64Vector(saved_rises);
+    writer.f64Vector(last_heat);
 }
 
 void
@@ -110,8 +121,17 @@ ThermalEnvironment::loadState(util::StateReader &reader)
     reader.tag("TENV");
     matrixModel_.loadState(reader);
     cooling_.loadState(reader);
-    riseCache_ = reader.f64Vector();
-    lastHeatKw_ = reader.f64Vector();
+    std::vector<double> saved_rises = reader.f64Vector();
+    reader.f64Vector(); // the last heat: the model's newest ring slot
+    if (streaming()) {
+        summary_ = matrixModel_.streamingSummary();
+    } else {
+        denseRises_ = std::move(saved_rises);
+        summary_ = denseRises_.empty()
+                       ? kernels::RiseSummary{}
+                       : kernels::summarizeRises(denseRises_.data(),
+                                                 denseRises_.size());
+    }
 }
 
 } // namespace ecolo::thermal

@@ -96,11 +96,17 @@ class ThermalEnvironment
     void loadState(util::StateReader &reader);
 
   private:
+    bool streaming() const
+    { return matrixModel_.activeKernel() == KernelMode::Streaming; }
+    /** Per-server rises after the last step: the streaming kernel's own
+     * cache, or the dense kernel's output. */
+    const std::vector<double> &rises() const;
+
     MatrixThermalModel matrixModel_;
     CoolingSystem cooling_;
     double serverAirflowWPerK_;
-    std::vector<double> riseCache_; //!< per-server rises, updated per step
-    std::vector<double> lastHeatKw_; //!< last step's per-server heat
+    std::vector<double> denseRises_; //!< dense kernel's rises, per step
+    kernels::RiseSummary summary_;   //!< max and sum of rises()
 };
 
 } // namespace ecolo::thermal

@@ -307,7 +307,6 @@ MatrixThermalModel::initStreamingState(const TemporalFactorization &factors)
                 ut[j * n + i] = u[i * n + j];
     }
     streamRises_.assign(n, 0.0);
-    pushScratch_.assign(n, 0.0);
     streamSum_.assign(n, 0.0);
 }
 
@@ -319,9 +318,6 @@ MatrixThermalModel::pushPowers(const std::vector<Kilowatts> &powers)
     ECOLO_ASSERT(powers.size() == n, "power vector size mismatch");
     double *slot = &history_[head_ * n];
     if (active_ == KernelMode::Streaming) {
-        double *pnew = pushScratch_.data();
-        for (std::size_t j = 0; j < n; ++j)
-            pnew[j] = powers[j].value();
         // `slot` still holds P(t - H) -- exactly the sample leaving the
         // window (zeros while warming up, so the correction is a no-op
         // then): a_q <- lambda_q a_q + P(t) - lambda_q^H P(t - H).
@@ -331,14 +327,13 @@ MatrixThermalModel::pushPowers(const std::vector<Kilowatts> &powers)
             const double lambda = modeDecay_[q];
             const double tail = modeTail_[q];
             for (std::size_t j = 0; j < n; ++j)
-                a[j] = lambda * a[j] + pnew[j] - tail * slot[j];
+                a[j] = lambda * a[j] + powers[j].value() - tail * slot[j];
         }
-        std::copy(pnew, pnew + n, slot);
-    } else {
-        for (std::size_t j = 0; j < n; ++j)
-            slot[j] = powers[j].value();
     }
-    head_ = (head_ + 1) % horizon;
+    for (std::size_t j = 0; j < n; ++j)
+        slot[j] = powers[j].value();
+    if (++head_ == horizon)
+        head_ = 0;
     filled_ = std::min(filled_ + 1, horizon);
     if (active_ == KernelMode::Streaming)
         updateStreamingRises();
@@ -381,6 +376,7 @@ MatrixThermalModel::updateStreamingRises()
     const std::size_t rank = factorizationRank();
     double *rises = streamRises_.data();
     std::fill(rises, rises + n, 0.0);
+    summary_ = {}; // all-zero rises when no rank has modes
     for (std::size_t r = 0; r < rank; ++r) {
         // Combine the rank's mode accumulators into its smoothed state
         // s_r[j] = sum_m w_m a_m[j] ...
@@ -395,19 +391,29 @@ MatrixThermalModel::updateStreamingRises()
             for (std::size_t j = 0; j < n; ++j)
                 s[j] += modeWeight_[q] * modeAccum_[q * n + j];
         // ... then the spatial GEMV, rises += U_r s_r (see
-        // stream_kernels.hh for the layout and dispatch story).
-        kernels::accumulateColumnAxpy(&spatialT_[r * n * n], s, rises, n);
+        // stream_kernels.hh for the layout and dispatch story). The last
+        // product's summary is that of the finished rises.
+        summary_ = kernels::accumulateColumnAxpy(&spatialT_[r * n * n], s,
+                                                 rises, n);
     }
 }
 
 CelsiusDelta
 MatrixThermalModel::maxInletRise() const
 {
-    computeAllRises(riseScratch_);
+    std::vector<double> rises;
+    computeAllRises(rises);
     double best = 0.0;
-    for (double rise : riseScratch_)
+    for (double rise : rises)
         best = std::max(best, rise);
     return CelsiusDelta(best);
+}
+
+const double *
+MatrixThermalModel::latestPowers() const
+{
+    const std::size_t horizon = matrix_.horizon();
+    return &history_[(head_ + horizon - 1) % horizon * matrix_.numServers()];
 }
 
 void
@@ -416,6 +422,7 @@ MatrixThermalModel::reset()
     std::fill(history_.begin(), history_.end(), 0.0);
     std::fill(modeAccum_.begin(), modeAccum_.end(), 0.0);
     std::fill(streamRises_.begin(), streamRises_.end(), 0.0);
+    summary_ = {};
     head_ = 0;
     filled_ = 0;
 }
@@ -495,6 +502,9 @@ MatrixThermalModel::loadState(util::StateReader &reader)
     history_ = std::move(history);
     modeAccum_ = std::move(accum);
     streamRises_ = std::move(rises);
+    if (!streamRises_.empty())
+        summary_ = kernels::summarizeRises(streamRises_.data(),
+                                           streamRises_.size());
 }
 
 } // namespace ecolo::thermal

@@ -39,6 +39,7 @@
 #include "power/layout.hh"
 #include "thermal/cfd/solver.hh"
 #include "thermal/factorization.hh"
+#include "thermal/stream_kernels.hh"
 #include "util/state_io.hh"
 #include "util/units.hh"
 
@@ -177,6 +178,23 @@ class MatrixThermalModel
     /** Largest inlet rise across servers. */
     CelsiusDelta maxInletRise() const;
 
+    /** The streaming kernel's rises, advanced by the last push and served
+     * in place (all zero before the first push; empty under dense). */
+    const std::vector<double> &streamingRises() const
+    { return streamRises_; }
+
+    /** Max and sum of streamingRises() (zero before the first push). */
+    const kernels::RiseSummary &streamingSummary() const
+    { return summary_; }
+
+    /** True when no power vector was pushed since construction or the
+     * last reset(). */
+    bool empty() const { return filled_ == 0; }
+
+    /** The last pushed power vector, numServers() values in kW (zeros
+     * while empty()). */
+    const double *latestPowers() const;
+
     /** Clear the power history (e.g., after an outage restart). */
     void reset();
 
@@ -233,10 +251,8 @@ class MatrixThermalModel
      * reduction. */
     std::vector<double> spatialT_;
     std::vector<double> streamRises_; //!< rises cached at last push
-    std::vector<double> pushScratch_; //!< new powers as raw kW
+    kernels::RiseSummary summary_;    //!< max and sum of streamRises_
     std::vector<double> streamSum_;   //!< per-rank combined state [j]
-
-    mutable std::vector<double> riseScratch_; //!< maxInletRise buffer
 };
 
 } // namespace ecolo::thermal

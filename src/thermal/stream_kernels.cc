@@ -1,95 +1,190 @@
 #include "thermal/stream_kernels.hh"
 
+#include <algorithm>
+
 namespace ecolo::thermal::kernels {
+
+RiseSummary
+summarizeRises(const double *rises, std::size_t n)
+{
+    RiseSummary summary;
+    summary.max = rises[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        summary.max = std::max(summary.max, rises[i]);
+        summary.sum += rises[i];
+    }
+    return summary;
+}
 
 #if defined(__GNUC__) || defined(__clang__)
 
-/** 8-wide double vector; on ISAs narrower than 512 bits the compiler
- * lowers each op to several native-width ops, lane math unchanged. */
+/** Double vectors of 2, 4 and 8 lanes: one native register each under
+ * the baseline ISA, AVX2 and AVX-512. */
+typedef double Vec2 __attribute__((vector_size(16)));
+typedef double Vec4 __attribute__((vector_size(32)));
 typedef double Vec8 __attribute__((vector_size(64)));
 
-// The helpers always inline into the clones below, so the by-value
+// The helpers always inline into the ISA bodies below, so the by-value
 // vector ABI the -Wpsabi warning is about never crosses a real call.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace {
 
-__attribute__((always_inline)) inline Vec8
-loadVec8(const double *p)
+template <typename V>
+__attribute__((always_inline)) inline V
+loadVec(const double *p)
 {
-    Vec8 v;
+    V v;
     __builtin_memcpy(&v, p, sizeof(v)); // unaligned vector load
     return v;
 }
 
+template <typename V>
 __attribute__((always_inline)) inline void
-storeVec8(double *p, Vec8 v)
+storeVec(double *p, V v)
 {
     __builtin_memcpy(p, &v, sizeof(v));
 }
 
-} // namespace
-
-// Multiversioning emits an IFUNC whose resolver gcc instruments like
-// any other function; under TSan/ASan that resolver calls into the
-// sanitizer runtime during IRELATIVE relocation, before the runtime's
-// TLS exists, and the process segfaults at load. Sanitizer builds take
-// the default-ISA body instead — they measure races, not throughput.
-#if defined(__x86_64__) && !defined(__clang__) \
-        && !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define ECOLO_KERNEL_CLONES \
-    __attribute__((target_clones("avx512f", "avx2,fma", "default")))
-#else
-#define ECOLO_KERNEL_CLONES
-#endif
-
-ECOLO_KERNEL_CLONES
-void
-accumulateColumnAxpy(const double *ut, const double *s, double *rises,
-                     std::size_t n)
+/** Folds rises into a RiseSummary in index order: the first fold
+ * (i == 0) seeds the max, as summarizeRises does. */
+struct SummaryFold
 {
-    // Register blocking: an 8-row block of the output accumulates in
-    // four explicit vector registers for the whole column sweep, so
-    // rises[] is touched once per block instead of once per column
-    // group, and the four independent chains hide FMA latency. The
-    // explicit vector type pins the lowering -- GCC's auto-vectorizer
-    // scalarizes the equivalent array form. Per-lane math and the final
-    // chain association are fixed, so results do not depend on n or on
-    // which clone the resolver picks being re-lowered differently.
-    constexpr std::size_t kBlock = 8;
+    RiseSummary summary;
+
+    __attribute__((always_inline)) void add(std::size_t i, double rise)
+    {
+        if (i == 0)
+            summary.max = rise;
+        summary.max = std::max(summary.max, rise);
+        summary.sum += rise;
+    }
+};
+
+/** Rows per output block: every ISA body gives each block's rows the
+ * same four per-lane chains, whatever vector width carries them. */
+constexpr std::size_t kBlock = 8;
+
+/**
+ * The column-AXPY in register blocks of 8 rows, each row held in
+ * V-wide parts: the accumulators stay in registers for the whole column
+ * sweep, so rises[] is touched once per block, and the independent
+ * chains hide FMA latency. Lane i accumulates four chains, column j
+ * feeding chain j % 4 in column order (the n % 4 trailing columns feed
+ * chain 0), then adds (c0 + c1) + (c2 + c3) to rises[i]. That per-lane
+ * math is the same for every V, so the bits depend only on whether the
+ * body's ISA contracts into FMA. The explicit vector types pin the
+ * lowering: GCC's auto-vectorizer scalarizes the equivalent array form,
+ * and a vector wider than the ISA's registers goes through the stack.
+ * Rows past the last full block take one serial chain each. Each
+ * finished block is folded into the summary while the next block's
+ * products are in flight.
+ */
+template <typename V>
+__attribute__((always_inline)) inline void
+columnAxpy(const double *ut, const double *s, double *rises, std::size_t n,
+           SummaryFold &fold)
+{
+    constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+    constexpr std::size_t kParts = kBlock / kLanes;
     std::size_t i0 = 0;
     for (; i0 + kBlock <= n; i0 += kBlock) {
-        Vec8 acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+        V acc[4][kParts] = {};
         std::size_t j = 0;
         for (; j + 4 <= n; j += 4) {
-            const double *c0 = &ut[j * n + i0];
-            const double *c1 = c0 + n;
-            const double *c2 = c1 + n;
-            const double *c3 = c2 + n;
-            acc0 += s[j] * loadVec8(c0);
-            acc1 += s[j + 1] * loadVec8(c1);
-            acc2 += s[j + 2] * loadVec8(c2);
-            acc3 += s[j + 3] * loadVec8(c3);
+            for (std::size_t c = 0; c < 4; ++c) {
+                const double *col = &ut[(j + c) * n + i0];
+                for (std::size_t p = 0; p < kParts; ++p)
+                    acc[c][p] += s[j + c] * loadVec<V>(col + kLanes * p);
+            }
         }
-        for (; j < n; ++j)
-            acc0 += s[j] * loadVec8(&ut[j * n + i0]);
-        const Vec8 sum = (acc0 + acc1) + (acc2 + acc3);
-        storeVec8(&rises[i0], loadVec8(&rises[i0]) + sum);
+        for (; j < n; ++j) {
+            const double *col = &ut[j * n + i0];
+            for (std::size_t p = 0; p < kParts; ++p)
+                acc[0][p] += s[j] * loadVec<V>(col + kLanes * p);
+        }
+        for (std::size_t p = 0; p < kParts; ++p) {
+            double *r = &rises[i0 + kLanes * p];
+            const V out = loadVec<V>(r) + ((acc[0][p] + acc[1][p]) +
+                                           (acc[2][p] + acc[3][p]));
+            storeVec<V>(r, out);
+            for (std::size_t k = 0; k < kLanes; ++k)
+                fold.add(i0 + kLanes * p + k, out[k]);
+        }
     }
     for (; i0 < n; ++i0) {
         double acc = 0.0;
         for (std::size_t j = 0; j < n; ++j)
             acc += s[j] * ut[j * n + i0];
         rises[i0] += acc;
+        fold.add(i0, rises[i0]);
     }
+}
+
+using AxpyFn = void (*)(const double *, const double *, double *,
+                        std::size_t, SummaryFold &);
+
+void
+axpyBaseline(const double *ut, const double *s, double *rises,
+             std::size_t n, SummaryFold &fold)
+{
+    columnAxpy<Vec2>(ut, s, rises, n, fold);
+}
+
+#if defined(__x86_64__) && !defined(__clang__)
+
+__attribute__((target("avx512f"))) void
+axpyAvx512(const double *ut, const double *s, double *rises, std::size_t n,
+           SummaryFold &fold)
+{
+    columnAxpy<Vec8>(ut, s, rises, n, fold);
+}
+
+__attribute__((target("avx2,fma"))) void
+axpyAvx2(const double *ut, const double *s, double *rises, std::size_t n,
+         SummaryFold &fold)
+{
+    columnAxpy<Vec4>(ut, s, rises, n, fold);
+}
+
+#endif
+
+/** The widest body the machine runs, picked once on first use. A plain
+ * pointer rather than an IFUNC, whose resolver crashes sanitizer
+ * builds at load: those take the same body and the same bits. */
+AxpyFn
+axpyForMachine()
+{
+    static const AxpyFn fn = [] {
+#if defined(__x86_64__) && !defined(__clang__)
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx512f"))
+            return &axpyAvx512;
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+            return &axpyAvx2;
+#endif
+        return &axpyBaseline;
+    }();
+    return fn;
+}
+
+} // namespace
+
+RiseSummary
+accumulateColumnAxpy(const double *ut, const double *s, double *rises,
+                     std::size_t n)
+{
+    SummaryFold fold;
+    axpyForMachine()(ut, s, rises, n, fold);
+    return fold.summary;
 }
 
 #pragma GCC diagnostic pop
 
 #else // !(__GNUC__ || __clang__): portable column-AXPY fallbacks
 
-void
+RiseSummary
 accumulateColumnAxpy(const double *ut, const double *s, double *rises,
                      std::size_t n)
 {
@@ -99,6 +194,7 @@ accumulateColumnAxpy(const double *ut, const double *s, double *rises,
         for (std::size_t i = 0; i < n; ++i)
             rises[i] += sj * col[i];
     }
+    return summarizeRises(rises, n);
 }
 
 #endif

@@ -4,8 +4,8 @@
  *
  * MatrixThermalModel's per-slot update is O(N modes) elementwise work
  * plus one O(N^2) matrix-vector product per rank. The product lives
- * here, in its own translation unit, because it is compiled as several
- * ISA clones (function multi-versioning) dispatched once at load time.
+ * here, in its own translation unit, because it is compiled as one body
+ * per ISA (AVX-512, AVX2+FMA, baseline), picked once on first use.
  */
 
 #ifndef ECOLO_THERMAL_STREAM_KERNELS_HH
@@ -15,19 +15,34 @@
 
 namespace ecolo::thermal::kernels {
 
+/** The largest of n rises and their sum, as the slot loop reads them. */
+struct RiseSummary
+{
+    double max = 0.0; //!< std::max from rises[0] over i = 0..n-1
+    double sum = 0.0; //!< rises[0] + ... + rises[n-1], from +0.0
+};
+
+/** RiseSummary of rises[0..n) in one pass in index order (n >= 1). */
+RiseSummary summarizeRises(const double *rises, std::size_t n);
+
 /**
  * The streaming kernel's only O(N^2) step: rises[i] += sum_j s[j] *
  * ut[j * n + i] with the spatial factor stored transposed, so the inner
  * loop is independent contiguous adds (vectorizable under strict FP;
- * the row-wise reduction form is not). Function multi-versioning
- * compiles wider-vector clones next to the baseline-ISA default and
- * dispatches once at load time: the binary stays portable while the hot
- * loop uses the machine's full vector width. Contraction into FMA
- * changes only sub-1e-9 rounding; runs on one machine stay
- * bit-deterministic.
+ * the row-wise reduction form is not). Each ISA body runs the same
+ * per-lane math at its native vector width: the binary stays portable
+ * while the hot loop uses the machine's full width. The AVX-512 and
+ * AVX2+FMA bodies contract into FMA and agree bit for bit; the baseline
+ * body rounds each product, which moves only sub-1e-9 bits. Runs on one
+ * machine stay bit-deterministic.
+ *
+ * Returns summarizeRises of the updated rises (n >= 1). Each finished
+ * block is folded into the max and the sum while the next block's
+ * products are in flight, so the two serial chains cost little beyond
+ * the product itself.
  */
-void accumulateColumnAxpy(const double *ut, const double *s, double *rises,
-                          std::size_t n);
+RiseSummary accumulateColumnAxpy(const double *ut, const double *s,
+                                 double *rises, std::size_t n);
 
 } // namespace ecolo::thermal::kernels
 

@@ -19,6 +19,8 @@ UtilizationTrace::at(MinuteIndex t) const
 {
     ECOLO_ASSERT(!samples_.empty(), "empty utilization trace");
     const auto n = static_cast<MinuteIndex>(samples_.size());
+    if (t >= 0 && t < n) // the slot loop's case: no wrap, no division
+        return samples_[static_cast<std::size_t>(t)];
     MinuteIndex i = t % n;
     if (i < 0)
         i += n;

@@ -1,10 +1,15 @@
 /**
  * @file
- * Pinned report bytes: year-long runs whose Markdown reports must keep
- * their exact bytes. Every path that reaches a report (the slot loop,
- * the tenant power model, the thermal kernel, the policies) is covered
- * by one FNV-1a hash per run, so a change that moves a single bit of a
- * reported figure fails here even when every tolerance test passes.
+ * Pinned report and state bytes: year-long runs whose Markdown reports
+ * and saved simulation state must keep their exact bytes. Every path
+ * that reaches a report (the slot loop, the tenant power model, the
+ * thermal kernel, the policies) is covered by one FNV-1a hash per run,
+ * so a change that moves a single bit of a reported figure fails here
+ * even when every tolerance test passes. The report rounds every
+ * figure, so each run also hashes the bytes Simulation::saveState
+ * writes at its end: a last-bit drift in any state the run carries
+ * (tenant power, thermal accumulators, the side channel's RNG) fails
+ * the state hash even where the report hash holds.
  *
  * The runs are the ones `edgetherm_cli --set seed=7 --days 365 --report`
  * renders, with the policy's default parameter: random, myopic and
@@ -22,13 +27,14 @@
 #include "core/engine.hh"
 #include "core/report.hh"
 #include "core/scenario.hh"
+#include "util/state_io.hh"
 
 namespace ecolo::core {
 namespace {
 
 // The hashes hold for the default build only: a -march=native build may
-// contract the engine's arithmetic into FMA. (Sanitizer builds, which
-// take the thermal kernel's baseline-ISA body, render the same bytes.)
+// contract the engine's arithmetic into FMA. Sanitizer builds run the
+// same thermal kernel body and render the same bytes.
 #if defined(__FMA__)
 #define ECOLO_SKIP_IF_CONTRACTED() \
     GTEST_SKIP() << "byte pins hold only without FMA contraction"
@@ -36,7 +42,25 @@ namespace {
 #define ECOLO_SKIP_IF_CONTRACTED() (void)0
 #endif
 
-/** 64-bit FNV-1a over the report's bytes. */
+/**
+ * True where the thermal kernel runs one of its FMA bodies (AVX-512, or
+ * AVX2 with FMA), whose bits the state hashes pin. A host without them
+ * runs the baseline body, which rounds each product separately: the
+ * state moves in its last bits while the rounded report holds.
+ */
+bool
+thermalKernelFuses()
+{
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") ||
+           (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"));
+#else
+    return false;
+#endif
+}
+
+/** 64-bit FNV-1a over a byte string. */
 std::uint64_t
 fnv1a(const std::string &bytes)
 {
@@ -48,9 +72,17 @@ fnv1a(const std::string &bytes)
     return h;
 }
 
-/** The report of a 365-day run at seed 7, built as the CLI builds it. */
-std::string
-yearReport(const std::string &scenario_file, const std::string &policy)
+/** A 365-day run's report, built as the CLI builds it, and its
+ * saved end state. */
+struct YearRun
+{
+    std::string report;
+    std::string state;
+};
+
+/** The 365-day run at seed 7 with the policy's default parameter. */
+YearRun
+yearRun(const std::string &scenario_file, const std::string &policy)
 {
     KeyValueConfig kv;
     if (!scenario_file.empty())
@@ -66,45 +98,62 @@ yearReport(const std::string &scenario_file, const std::string &policy)
     Simulation sim(config, made.take());
     sim.runDays(365.0);
 
-    std::ostringstream os;
-    writeMarkdownReport(os, config, sim.metrics(),
+    YearRun run;
+    std::ostringstream report;
+    writeMarkdownReport(report, config, sim.metrics(),
                         ReportInputs{policy, param, 365.0});
-    return os.str();
+    run.report = report.str();
+    std::ostringstream state;
+    util::StateWriter writer(state);
+    sim.saveState(writer);
+    EXPECT_TRUE(writer.good());
+    run.state = state.str();
+    return run;
 }
 
 TEST(ReportPins, PaperDefaultRandom)
 {
     ECOLO_SKIP_IF_CONTRACTED();
-    EXPECT_EQ(fnv1a(yearReport("", "random")),
-              0x043429a06579798fULL);
+    const YearRun run = yearRun("", "random");
+    EXPECT_EQ(fnv1a(run.report), 0x043429a06579798fULL);
+    if (thermalKernelFuses())
+        EXPECT_EQ(fnv1a(run.state), 0x209fe16e1848fcaeULL);
 }
 
 TEST(ReportPins, PaperDefaultMyopic)
 {
     ECOLO_SKIP_IF_CONTRACTED();
-    EXPECT_EQ(fnv1a(yearReport("", "myopic")),
-              0x97b4c42dc9cbcad1ULL);
+    const YearRun run = yearRun("", "myopic");
+    EXPECT_EQ(fnv1a(run.report), 0x97b4c42dc9cbcad1ULL);
+    if (thermalKernelFuses())
+        EXPECT_EQ(fnv1a(run.state), 0x1ad0d661c5b1db19ULL);
 }
 
 TEST(ReportPins, PaperDefaultForesighted)
 {
     ECOLO_SKIP_IF_CONTRACTED();
-    EXPECT_EQ(fnv1a(yearReport("", "foresighted")),
-              0xc064a39df3280bbbULL);
+    const YearRun run = yearRun("", "foresighted");
+    EXPECT_EQ(fnv1a(run.report), 0xc064a39df3280bbbULL);
+    if (thermalKernelFuses())
+        EXPECT_EQ(fnv1a(run.state), 0x0f7ab553c32550dbULL);
 }
 
 TEST(ReportPins, DegradedSiteMyopic)
 {
     ECOLO_SKIP_IF_CONTRACTED();
-    EXPECT_EQ(fnv1a(yearReport("degraded_site.cfg", "myopic")),
-              0x89c9bfd53478daceULL);
+    const YearRun run = yearRun("degraded_site.cfg", "myopic");
+    EXPECT_EQ(fnv1a(run.report), 0x89c9bfd53478daceULL);
+    if (thermalKernelFuses())
+        EXPECT_EQ(fnv1a(run.state), 0xe775f7e8e7e37334ULL);
 }
 
 TEST(ReportPins, DegradedSiteStandby)
 {
     ECOLO_SKIP_IF_CONTRACTED();
-    EXPECT_EQ(fnv1a(yearReport("degraded_site.cfg", "standby")),
-              0xb7e8314c96a328caULL);
+    const YearRun run = yearRun("degraded_site.cfg", "standby");
+    EXPECT_EQ(fnv1a(run.report), 0xb7e8314c96a328caULL);
+    if (thermalKernelFuses())
+        EXPECT_EQ(fnv1a(run.state), 0x24a6350cb75105eeULL);
 }
 
 } // namespace

@@ -94,10 +94,6 @@ TEST(GatewayHttpParser, PostWithBodyAndQuery)
     const HttpRequest &req = parser.request();
     EXPECT_EQ(req.path, "/v1/runs");
     EXPECT_EQ(req.query, "stream=1&x=2");
-    EXPECT_TRUE(req.hasQueryParam("stream"));
-    EXPECT_EQ(req.queryParam("stream"), "1");
-    EXPECT_EQ(req.queryParam("x"), "2");
-    EXPECT_FALSE(req.hasQueryParam("y"));
     EXPECT_EQ(req.body, body);
 }
 
