@@ -39,12 +39,22 @@ ThermalEnvironment::stepMinute(const std::vector<Kilowatts> &server_heat,
     // whose serial sum can then finish while the kernel runs.
     matrixModel_.pushPowers(server_heat);
     cooling_.step(total_heat, minutes(1));
-    if (streaming()) {
-        summary_ = matrixModel_.streamingSummary();
-    } else {
+    if (!streaming())
         matrixModel_.computeAllRises(denseRises_);
-        summary_ = kernels::summarizeRises(denseRises_.data(),
-                                           denseRises_.size());
+    summarizeRises();
+}
+
+void
+ThermalEnvironment::summarizeRises()
+{
+    // One pass in index order: the max starts from rises[0], the sum
+    // adds rises[0..N-1] in turn from zero.
+    const std::vector<double> &r = rises();
+    maxRise_ = r.empty() ? 0.0 : r[0];
+    riseSum_ = 0.0;
+    for (double rise : r) {
+        maxRise_ = std::max(maxRise_, rise);
+        riseSum_ += rise;
     }
 }
 
@@ -77,14 +87,14 @@ ThermalEnvironment::outletTemperature(std::size_t i) const
 Celsius
 ThermalEnvironment::maxInletTemperature() const
 {
-    return cooling_.supplyTemperature() + CelsiusDelta(summary_.max);
+    return cooling_.supplyTemperature() + CelsiusDelta(maxRise_);
 }
 
 Celsius
 ThermalEnvironment::meanInletTemperature() const
 {
     return cooling_.supplyTemperature() +
-           CelsiusDelta(summary_.sum / static_cast<double>(numServers()));
+           CelsiusDelta(riseSum_ / static_cast<double>(numServers()));
 }
 
 void
@@ -93,7 +103,7 @@ ThermalEnvironment::reset()
     matrixModel_.reset();
     cooling_.reset();
     denseRises_.clear();
-    summary_ = {};
+    summarizeRises();
 }
 
 void
@@ -123,15 +133,9 @@ ThermalEnvironment::loadState(util::StateReader &reader)
     cooling_.loadState(reader);
     std::vector<double> saved_rises = reader.f64Vector();
     reader.f64Vector(); // the last heat: the model's newest ring slot
-    if (streaming()) {
-        summary_ = matrixModel_.streamingSummary();
-    } else {
+    if (!streaming())
         denseRises_ = std::move(saved_rises);
-        summary_ = denseRises_.empty()
-                       ? kernels::RiseSummary{}
-                       : kernels::summarizeRises(denseRises_.data(),
-                                                 denseRises_.size());
-    }
+    summarizeRises();
 }
 
 } // namespace ecolo::thermal

@@ -101,12 +101,15 @@ class ThermalEnvironment
     /** Per-server rises after the last step: the streaming kernel's own
      * cache, or the dense kernel's output. */
     const std::vector<double> &rises() const;
+    /** Set maxRise_ and riseSum_ from rises() (both zero when empty). */
+    void summarizeRises();
 
     MatrixThermalModel matrixModel_;
     CoolingSystem cooling_;
     double serverAirflowWPerK_;
     std::vector<double> denseRises_; //!< dense kernel's rises, per step
-    kernels::RiseSummary summary_;   //!< max and sum of rises()
+    double maxRise_ = 0.0;           //!< largest of rises()
+    double riseSum_ = 0.0;           //!< sum of rises(), in index order
 };
 
 } // namespace ecolo::thermal

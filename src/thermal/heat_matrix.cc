@@ -376,7 +376,6 @@ MatrixThermalModel::updateStreamingRises()
     const std::size_t rank = factorizationRank();
     double *rises = streamRises_.data();
     std::fill(rises, rises + n, 0.0);
-    summary_ = {}; // all-zero rises when no rank has modes
     for (std::size_t r = 0; r < rank; ++r) {
         // Combine the rank's mode accumulators into its smoothed state
         // s_r[j] = sum_m w_m a_m[j] ...
@@ -391,10 +390,8 @@ MatrixThermalModel::updateStreamingRises()
             for (std::size_t j = 0; j < n; ++j)
                 s[j] += modeWeight_[q] * modeAccum_[q * n + j];
         // ... then the spatial GEMV, rises += U_r s_r (see
-        // stream_kernels.hh for the layout and dispatch story). The last
-        // product's summary is that of the finished rises.
-        summary_ = kernels::accumulateColumnAxpy(&spatialT_[r * n * n], s,
-                                                 rises, n);
+        // stream_kernels.hh for the layout and dispatch story).
+        kernels::accumulateColumnAxpy(&spatialT_[r * n * n], s, rises, n);
     }
 }
 
@@ -422,7 +419,6 @@ MatrixThermalModel::reset()
     std::fill(history_.begin(), history_.end(), 0.0);
     std::fill(modeAccum_.begin(), modeAccum_.end(), 0.0);
     std::fill(streamRises_.begin(), streamRises_.end(), 0.0);
-    summary_ = {};
     head_ = 0;
     filled_ = 0;
 }
@@ -483,8 +479,18 @@ MatrixThermalModel::loadState(util::StateReader &reader)
             history.size(), " samples, model has ", history_.size()));
         return;
     }
-    head_ = static_cast<std::size_t>(reader.u64());
-    filled_ = static_cast<std::size_t>(reader.u64());
+    const std::uint64_t head = reader.u64();
+    const std::uint64_t filled = reader.u64();
+    // pushPowers writes the slot at head_ and wraps it only on reaching
+    // the horizon: an out-of-range head would write past the ring on
+    // every push.
+    if (reader.ok() && (head >= slots || filled > slots)) {
+        reader.fail(ECOLO_ERROR(
+            util::ErrorCode::StateError,
+            "thermal history ring out of range: checkpoint has head ",
+            head, " and ", filled, " filled slots, horizon is ", slots));
+        return;
+    }
     std::vector<double> accum = reader.f64Vector();
     std::vector<double> rises = reader.f64Vector();
     if (reader.ok() && (accum.size() != modeAccum_.size() ||
@@ -500,11 +506,10 @@ MatrixThermalModel::loadState(util::StateReader &reader)
     if (!reader.ok())
         return;
     history_ = std::move(history);
+    head_ = static_cast<std::size_t>(head);
+    filled_ = static_cast<std::size_t>(filled);
     modeAccum_ = std::move(accum);
     streamRises_ = std::move(rises);
-    if (!streamRises_.empty())
-        summary_ = kernels::summarizeRises(streamRises_.data(),
-                                           streamRises_.size());
 }
 
 } // namespace ecolo::thermal

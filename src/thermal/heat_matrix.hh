@@ -39,7 +39,6 @@
 #include "power/layout.hh"
 #include "thermal/cfd/solver.hh"
 #include "thermal/factorization.hh"
-#include "thermal/stream_kernels.hh"
 #include "util/state_io.hh"
 #include "util/units.hh"
 
@@ -183,10 +182,6 @@ class MatrixThermalModel
     const std::vector<double> &streamingRises() const
     { return streamRises_; }
 
-    /** Max and sum of streamingRises() (zero before the first push). */
-    const kernels::RiseSummary &streamingSummary() const
-    { return summary_; }
-
     /** True when no power vector was pushed since construction or the
      * last reset(). */
     bool empty() const { return filled_ == 0; }
@@ -251,7 +246,6 @@ class MatrixThermalModel
      * reduction. */
     std::vector<double> spatialT_;
     std::vector<double> streamRises_; //!< rises cached at last push
-    kernels::RiseSummary summary_;    //!< max and sum of streamRises_
     std::vector<double> streamSum_;   //!< per-rank combined state [j]
 };
 

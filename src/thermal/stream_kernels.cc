@@ -1,20 +1,6 @@
 #include "thermal/stream_kernels.hh"
 
-#include <algorithm>
-
 namespace ecolo::thermal::kernels {
-
-RiseSummary
-summarizeRises(const double *rises, std::size_t n)
-{
-    RiseSummary summary;
-    summary.max = rises[0];
-    for (std::size_t i = 0; i < n; ++i) {
-        summary.max = std::max(summary.max, rises[i]);
-        summary.sum += rises[i];
-    }
-    return summary;
-}
 
 #if defined(__GNUC__) || defined(__clang__)
 
@@ -47,21 +33,6 @@ storeVec(double *p, V v)
     __builtin_memcpy(p, &v, sizeof(v));
 }
 
-/** Folds rises into a RiseSummary in index order: the first fold
- * (i == 0) seeds the max, as summarizeRises does. */
-struct SummaryFold
-{
-    RiseSummary summary;
-
-    __attribute__((always_inline)) void add(std::size_t i, double rise)
-    {
-        if (i == 0)
-            summary.max = rise;
-        summary.max = std::max(summary.max, rise);
-        summary.sum += rise;
-    }
-};
-
 /** Rows per output block: every ISA body gives each block's rows the
  * same four per-lane chains, whatever vector width carries them. */
 constexpr std::size_t kBlock = 8;
@@ -77,14 +48,11 @@ constexpr std::size_t kBlock = 8;
  * body's ISA contracts into FMA. The explicit vector types pin the
  * lowering: GCC's auto-vectorizer scalarizes the equivalent array form,
  * and a vector wider than the ISA's registers goes through the stack.
- * Rows past the last full block take one serial chain each. Each
- * finished block is folded into the summary while the next block's
- * products are in flight.
+ * Rows past the last full block take one serial chain each.
  */
 template <typename V>
 __attribute__((always_inline)) inline void
-columnAxpy(const double *ut, const double *s, double *rises, std::size_t n,
-           SummaryFold &fold)
+columnAxpy(const double *ut, const double *s, double *rises, std::size_t n)
 {
     constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
     constexpr std::size_t kParts = kBlock / kLanes;
@@ -109,8 +77,6 @@ columnAxpy(const double *ut, const double *s, double *rises, std::size_t n,
             const V out = loadVec<V>(r) + ((acc[0][p] + acc[1][p]) +
                                            (acc[2][p] + acc[3][p]));
             storeVec<V>(r, out);
-            for (std::size_t k = 0; k < kLanes; ++k)
-                fold.add(i0 + kLanes * p + k, out[k]);
         }
     }
     for (; i0 < n; ++i0) {
@@ -118,34 +84,31 @@ columnAxpy(const double *ut, const double *s, double *rises, std::size_t n,
         for (std::size_t j = 0; j < n; ++j)
             acc += s[j] * ut[j * n + i0];
         rises[i0] += acc;
-        fold.add(i0, rises[i0]);
     }
 }
 
 using AxpyFn = void (*)(const double *, const double *, double *,
-                        std::size_t, SummaryFold &);
+                        std::size_t);
 
 void
 axpyBaseline(const double *ut, const double *s, double *rises,
-             std::size_t n, SummaryFold &fold)
+             std::size_t n)
 {
-    columnAxpy<Vec2>(ut, s, rises, n, fold);
+    columnAxpy<Vec2>(ut, s, rises, n);
 }
 
 #if defined(__x86_64__) && !defined(__clang__)
 
 __attribute__((target("avx512f"))) void
-axpyAvx512(const double *ut, const double *s, double *rises, std::size_t n,
-           SummaryFold &fold)
+axpyAvx512(const double *ut, const double *s, double *rises, std::size_t n)
 {
-    columnAxpy<Vec8>(ut, s, rises, n, fold);
+    columnAxpy<Vec8>(ut, s, rises, n);
 }
 
 __attribute__((target("avx2,fma"))) void
-axpyAvx2(const double *ut, const double *s, double *rises, std::size_t n,
-         SummaryFold &fold)
+axpyAvx2(const double *ut, const double *s, double *rises, std::size_t n)
 {
-    columnAxpy<Vec4>(ut, s, rises, n, fold);
+    columnAxpy<Vec4>(ut, s, rises, n);
 }
 
 #endif
@@ -171,20 +134,24 @@ axpyForMachine()
 
 } // namespace
 
-RiseSummary
+void
 accumulateColumnAxpy(const double *ut, const double *s, double *rises,
                      std::size_t n)
 {
-    SummaryFold fold;
-    axpyForMachine()(ut, s, rises, n, fold);
-    return fold.summary;
+    axpyForMachine()(ut, s, rises, n);
+}
+
+bool
+columnAxpyFuses()
+{
+    return axpyForMachine() != &axpyBaseline;
 }
 
 #pragma GCC diagnostic pop
 
 #else // !(__GNUC__ || __clang__): portable column-AXPY fallbacks
 
-RiseSummary
+void
 accumulateColumnAxpy(const double *ut, const double *s, double *rises,
                      std::size_t n)
 {
@@ -194,7 +161,12 @@ accumulateColumnAxpy(const double *ut, const double *s, double *rises,
         for (std::size_t i = 0; i < n; ++i)
             rises[i] += sj * col[i];
     }
-    return summarizeRises(rises, n);
+}
+
+bool
+columnAxpyFuses()
+{
+    return false;
 }
 
 #endif

@@ -15,16 +15,6 @@
 
 namespace ecolo::thermal::kernels {
 
-/** The largest of n rises and their sum, as the slot loop reads them. */
-struct RiseSummary
-{
-    double max = 0.0; //!< std::max from rises[0] over i = 0..n-1
-    double sum = 0.0; //!< rises[0] + ... + rises[n-1], from +0.0
-};
-
-/** RiseSummary of rises[0..n) in one pass in index order (n >= 1). */
-RiseSummary summarizeRises(const double *rises, std::size_t n);
-
 /**
  * The streaming kernel's only O(N^2) step: rises[i] += sum_j s[j] *
  * ut[j * n + i] with the spatial factor stored transposed, so the inner
@@ -35,14 +25,13 @@ RiseSummary summarizeRises(const double *rises, std::size_t n);
  * AVX2+FMA bodies contract into FMA and agree bit for bit; the baseline
  * body rounds each product, which moves only sub-1e-9 bits. Runs on one
  * machine stay bit-deterministic.
- *
- * Returns summarizeRises of the updated rises (n >= 1). Each finished
- * block is folded into the max and the sum while the next block's
- * products are in flight, so the two serial chains cost little beyond
- * the product itself.
  */
-RiseSummary accumulateColumnAxpy(const double *ut, const double *s,
-                                 double *rises, std::size_t n);
+void accumulateColumnAxpy(const double *ut, const double *s, double *rises,
+                          std::size_t n);
+
+/** True when accumulateColumnAxpy runs an FMA body on this machine, false
+ * when it runs the baseline body (or a non-x86/GCC fallback). */
+bool columnAxpyFuses();
 
 } // namespace ecolo::thermal::kernels
 

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -374,6 +375,58 @@ TEST(StreamingCheckpoint, RetiredFactorizedKernelIdRejected)
                   util::ErrorCode::StateError);
         EXPECT_NE(reader.status().error().message.find("'unknown' kernel"),
                   std::string::npos);
+    }
+}
+
+TEST(StreamingCheckpoint, OutOfRangeRingHeadRejected)
+{
+    // A ring head at or past the horizon, or more filled slots than the
+    // horizon holds, would send every later push past the history ring.
+    // Patch both into a saved section: tag, kernel id, two shape words,
+    // then the history vector (length word and samples), head, filled.
+    const auto matrix =
+        HeatDistributionMatrix::analyticDefault(smallLayout());
+    const std::uint64_t horizon = matrix.horizon();
+    const std::size_t head_at =
+        4 + 4 + 8 + 8 + 8 + 8 * horizon * matrix.numServers();
+    const struct
+    {
+        std::uint64_t head, filled;
+    } patches[] = {{horizon, 1}, {horizon + 7, horizon}, {0, horizon + 1}};
+    for (KernelMode mode : {KernelMode::Auto, KernelMode::Dense}) {
+        MatrixThermalModel model(matrix, mode);
+        ScheduleGenerator schedule(model.numServers());
+        for (int m = 0; m < 20; ++m)
+            model.pushPowers(schedule.next());
+        std::stringstream saved;
+        util::StateWriter writer(saved);
+        model.saveState(writer);
+        ASSERT_TRUE(writer.good());
+        const std::string bytes = saved.str();
+        {
+            std::stringstream intact(bytes);
+            util::StateReader reader(intact);
+            model.loadState(reader);
+            ASSERT_TRUE(reader.ok()) << reader.status().error().describe();
+        }
+        for (const auto &patch : patches) {
+            std::string patched = bytes;
+            std::memcpy(&patched[head_at], &patch.head, 8);
+            std::memcpy(&patched[head_at + 8], &patch.filled, 8);
+            std::stringstream state(patched);
+            util::StateReader reader(state);
+            model.loadState(reader);
+            ASSERT_FALSE(reader.ok())
+                << kernelModeName(mode) << " head " << patch.head
+                << " filled " << patch.filled;
+            EXPECT_EQ(reader.status().error().code,
+                      util::ErrorCode::StateError);
+            EXPECT_NE(reader.status().error().message.find("out of range"),
+                      std::string::npos);
+            // The failed load leaves the model as it was, so a push
+            // stays inside the ring.
+            model.pushPowers(schedule.next());
+        }
     }
 }
 
