@@ -558,13 +558,15 @@ Simulation::stepMinute(RunTelemetry *stats)
     }
     command_ = operator_.observeMinute(sensed_inlet, degraded_ctx);
 
-    while (emergenciesSeen_ < operator_.emergenciesDeclared()) {
+    // observeMinute raises each count at most once, and loadState
+    // accepts only counts already in step with the operator's.
+    if (emergenciesSeen_ < operator_.emergenciesDeclared()) {
         metrics_.noteEmergencyDeclared();
         ++emergenciesSeen_;
         if (stats)
             ++stats->emergencies;
     }
-    while (outagesSeen_ < operator_.outages()) {
+    if (outagesSeen_ < operator_.outages()) {
         metrics_.noteOutage();
         ++outagesSeen_;
         if (stats)
@@ -805,6 +807,22 @@ Simulation::loadState(util::StateReader &reader)
     operator_.loadState(reader);
     policy_->loadState(reader);
     metrics_.loadState(reader);
+    // Each count rises at most once per simulated minute, and the slot
+    // loop brings the engine's copy in step before the minute ends.
+    const auto within_now = [this](std::size_t count) {
+        return now_ >= 0 && count <= static_cast<std::uint64_t>(now_);
+    };
+    if (reader.ok() &&
+        (emergenciesSeen_ != operator_.emergenciesDeclared() ||
+         outagesSeen_ != operator_.outages() ||
+         !within_now(emergenciesSeen_) || !within_now(outagesSeen_))) {
+        reader.fail(ECOLO_ERROR(
+            util::ErrorCode::StateError,
+            "emergency/outage counts inconsistent at minute ", now_,
+            ": engine saw ", emergenciesSeen_, "/", outagesSeen_,
+            ", operator declared ", operator_.emergenciesDeclared(), "/",
+            operator_.outages()));
+    }
 }
 
 void

@@ -213,18 +213,49 @@ void
 ColoOperator::loadState(util::StateReader &reader)
 {
     reader.tag("OPER");
-    state_ = static_cast<OperatorState>(reader.u32());
-    sustainCounter_ = reader.i64();
-    cappingLeft_ = reader.i64();
-    restartLeft_ = reader.i64();
-    emergencies_ = static_cast<std::size_t>(reader.u64());
-    outages_ = static_cast<std::size_t>(reader.u64());
-    activeCapLevel_ = Kilowatts(reader.f64());
-    emergencyMinutes_ = reader.i64();
-    outageMinutes_ = reader.i64();
-    degradedMinutes_ = reader.i64();
-    blindMinutes_ = reader.i64();
-    lastGoodInlet_ = Celsius(reader.f64());
+    const std::uint32_t state = reader.u32();
+    const MinuteIndex sustain = reader.i64();
+    const MinuteIndex capping_left = reader.i64();
+    const MinuteIndex restart_left = reader.i64();
+    const std::uint64_t emergencies = reader.u64();
+    const std::uint64_t outages = reader.u64();
+    const double cap_level = reader.f64();
+    const MinuteIndex emergency_minutes = reader.i64();
+    const MinuteIndex outage_minutes = reader.i64();
+    const MinuteIndex degraded_minutes = reader.i64();
+    const MinuteIndex blind_minutes = reader.i64();
+    const double last_inlet = reader.f64();
+    if (!reader.ok())
+        return;
+    // A countdown fires at <= 0 and may rest at -1 after a one-minute
+    // window; every other counter only grows from 0.
+    if (state > static_cast<std::uint32_t>(OperatorState::Outage) ||
+        sustain < 0 || capping_left < -1 || restart_left < -1 ||
+        emergency_minutes < 0 || outage_minutes < 0 ||
+        degraded_minutes < 0 || blind_minutes < 0 ||
+        !std::isfinite(cap_level) || !std::isfinite(last_inlet)) {
+        reader.fail(ECOLO_ERROR(
+            util::ErrorCode::StateError,
+            "operator state out of range: state ", state, ", sustain ",
+            sustain, ", capping left ", capping_left, ", restart left ",
+            restart_left, ", minutes ", emergency_minutes, "/",
+            outage_minutes, "/", degraded_minutes, "/", blind_minutes,
+            ", cap level ", cap_level, " kW, last inlet ", last_inlet,
+            " C"));
+        return;
+    }
+    state_ = static_cast<OperatorState>(state);
+    sustainCounter_ = sustain;
+    cappingLeft_ = capping_left;
+    restartLeft_ = restart_left;
+    emergencies_ = static_cast<std::size_t>(emergencies);
+    outages_ = static_cast<std::size_t>(outages);
+    activeCapLevel_ = Kilowatts(cap_level);
+    emergencyMinutes_ = emergency_minutes;
+    outageMinutes_ = outage_minutes;
+    degradedMinutes_ = degraded_minutes;
+    blindMinutes_ = blind_minutes;
+    lastGoodInlet_ = Celsius(last_inlet);
 }
 
 } // namespace ecolo::core

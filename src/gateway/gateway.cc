@@ -22,6 +22,11 @@ constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kEventTag = 1;
 /** Bound on bytes buffered ahead of a busy connection (pipelining). */
 constexpr std::size_t kMaxPendingBytes = 64u << 10;
+/**
+ * Default worker RPCs in flight per worker: enough that a worker's
+ * simulation thread has its next run queued when one finishes.
+ */
+constexpr std::size_t kForwardersPerWorker = 4;
 
 /** JSON error code slug for an HTTP parse-failure status. */
 const char *
@@ -210,7 +215,10 @@ Gateway::start()
     running_.store(true, std::memory_order_release);
     pool_.start();
     const std::size_t forwarders =
-        std::max<std::size_t>(options_.numForwarders, 1);
+        options_.numForwarders > 0
+            ? options_.numForwarders
+            : kForwardersPerWorker *
+                  std::max<std::size_t>(pool_.size(), 1);
     forwarders_.reserve(forwarders);
     for (std::size_t i = 0; i < forwarders; ++i)
         forwarders_.emplace_back([this] { forwarderLoop(); });

@@ -75,7 +75,8 @@ struct GatewayOptions
 {
     std::uint16_t port = 0; //!< 0 = ephemeral; see Gateway::port()
     std::vector<WorkerAddress> workers;
-    std::size_t numForwarders = 4;   //!< concurrent worker RPCs
+    /** Concurrent worker RPCs; 0 = four per worker. */
+    std::size_t numForwarders = 0;
     std::size_t maxConnections = 128;
     int idleTimeoutMs = 30000;       //!< reap idle keep-alive clients
     /** Same bound the workers enforce; rejected here with a 400. */

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include <fcntl.h>
@@ -50,7 +51,7 @@ encodeRecord(std::uint8_t kind, std::uint64_t id,
     putU32(out, static_cast<std::uint32_t>(payload.size()));
     out.append(payload);
     // Checksum covers kind..payload (everything after the magic).
-    putU64(out, fnv1a64(out.substr(4)));
+    putU64(out, fnv1a64(std::string_view(out).substr(4)));
     return out;
 }
 
@@ -95,13 +96,18 @@ writeWholeFile(const std::string &path, const std::string &bytes)
 RequestJournal::RequestJournal(RequestJournal &&other) noexcept
     : path_(std::move(other.path_)),
       fd_(std::exchange(other.fd_, -1)),
-      recovered_(std::move(other.recovered_))
+      recovered_(std::move(other.recovered_)),
+      options_(std::move(other.options_)),
+      written_(other.written_),
+      durable_(other.durable_),
+      failed_(std::move(other.failed_))
 {}
 
 RequestJournal::~RequestJournal()
 {
-    if (fd_ >= 0)
-        ::close(fd_);
+    if (auto closed = close(); !closed)
+        ecolo::warn("request journal ", path_, ": ",
+                    closed.error().message);
 }
 
 util::Result<std::vector<RequestJournal::PendingRequest>>
@@ -150,13 +156,12 @@ RequestJournal::scanFile(const std::string &path)
             torn = true;
             break;
         }
-        const std::string body =
-            bytes.substr(pos + 4, 1 + 8 + 4 + payload_len);
         std::uint64_t checksum;
         std::memcpy(&checksum,
                     bytes.data() + pos + kRecordHeadBytes + payload_len,
                     8);
-        if (checksum != fnv1a64(body)) {
+        if (checksum != fnv1a64(std::string_view(bytes).substr(
+                            pos + 4, 1 + 8 + 4 + payload_len))) {
             torn = true;
             break;
         }
@@ -197,13 +202,14 @@ RequestJournal::scanFile(const std::string &path)
 }
 
 util::Result<RequestJournal>
-RequestJournal::open(const std::string &dir)
+RequestJournal::open(const std::string &dir, JournalOptions options)
 {
     if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
         return errnoError("cannot create journal dir " + dir, errno);
 
     RequestJournal journal;
     journal.path_ = dir + "/requests.wal";
+    journal.options_ = std::move(options);
 
     auto pending = scanFile(journal.path_);
     if (!pending.ok())
@@ -228,25 +234,81 @@ RequestJournal::open(const std::string &dir)
 }
 
 util::Result<void>
-RequestJournal::append(const std::string &record)
+RequestJournal::append(const std::string &record, bool durable)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (fd_ < 0) {
         return ECOLO_ERROR(util::ErrorCode::StateError,
                            "request journal is closed");
     }
+    if (failed_)
+        return *failed_;
     std::size_t done = 0;
     while (done < record.size()) {
         const ssize_t n =
             ::write(fd_, record.data() + done, record.size() - done);
         if (n < 0 && errno == EINTR)
             continue;
-        if (n < 0)
-            return errnoError("cannot append to " + path_, errno);
+        if (n < 0) {
+            // A partial record tears the file: the scan would stop
+            // there and hide every later record, so stop appending.
+            failed_ = errnoError("cannot append to " + path_, errno);
+            return *failed_;
+        }
         done += static_cast<std::size_t>(n);
     }
-    if (::fdatasync(fd_) != 0)
-        return errnoError("cannot sync " + path_, errno);
+    const std::uint64_t seq = ++written_;
+    if (options_.records)
+        options_.records->inc();
+    if (!durable)
+        return {};
+    while (durable_ < seq) {
+        if (failed_)
+            return *failed_;
+        if (syncing_)
+            synced_.wait(lock);
+        else
+            syncLocked(lock);
+    }
+    return {};
+}
+
+void
+RequestJournal::syncLocked(std::unique_lock<std::mutex> &lock)
+{
+    syncing_ = true;
+    const std::uint64_t covers = written_;
+    const int fd = fd_;
+    lock.unlock();
+    const int rc = options_.sync ? options_.sync(fd) : ::fdatasync(fd);
+    const int err = errno;
+    lock.lock();
+    syncing_ = false;
+    if (options_.syncs)
+        options_.syncs->inc();
+    if (rc != 0)
+        failed_ = errnoError("cannot sync " + path_, err);
+    else
+        durable_ = covers;
+    synced_.notify_all();
+}
+
+util::Result<void>
+RequestJournal::close()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (fd_ < 0)
+        return {};
+    while (!failed_ && (syncing_ || durable_ < written_)) {
+        if (syncing_)
+            synced_.wait(lock);
+        else
+            syncLocked(lock);
+    }
+    ::close(fd_);
+    fd_ = -1;
+    if (failed_)
+        return *failed_;
     return {};
 }
 
@@ -254,14 +316,15 @@ util::Result<void>
 RequestJournal::recordAdmit(std::uint64_t id,
                             const SubmitPayload &request)
 {
-    return append(encodeRecord(kKindAdmit, id, encodeSubmit(request)));
+    return append(encodeRecord(kKindAdmit, id, encodeSubmit(request)),
+                  true);
 }
 
 util::Result<void>
 RequestJournal::recordOutcome(std::uint64_t id, JournalOutcome outcome)
 {
     std::string payload(1, static_cast<char>(outcome));
-    return append(encodeRecord(kKindOutcome, id, payload));
+    return append(encodeRecord(kKindOutcome, id, payload), false);
 }
 
 } // namespace ecolo::serve

@@ -17,8 +17,25 @@
  *                              OUTCOME: one JournalOutcome byte)
  *     u64 checksum  FNV-1a 64 over kind..payload
  *
- * Appends are fdatasync'd before the server answers ACCEPTED, so an
- * admitted request is durable before the client learns about it.
+ * Group commit: an append writes its record under the journal's mutex
+ * and takes the next sequence number; the mutex is never held across
+ * fdatasync. An ADMIT then waits until a sync covers its sequence:
+ * one waiter leads and syncs once for every record written before its
+ * sync started, the others wait for the durable sequence to pass
+ * theirs. So an admitted request is durable before the server answers
+ * ACCEPTED, and concurrent admissions share syncs.
+ *
+ * An OUTCOME does not wait. Once write() returns the record is in the
+ * page cache, which survives a kill -9 of the server; the next group
+ * sync, or close(), makes it durable. Only a machine crash can lose
+ * it, and then the next start replays a request that already finished:
+ * runs are deterministic and the result cache is content-addressed, so
+ * the replay fills the same slot with the same bytes.
+ *
+ * A failed write or sync is sticky: every later append fails with the
+ * same IoError, and nothing retries an fsync error (the kernel may have
+ * dropped the dirty pages it reported).
+ *
  * Scanning is tolerant of a torn tail (kill -9 mid-append): the scan
  * stops at the first malformed, truncated, or checksum-failing record
  * and keeps everything before it. open() compacts the file down to the
@@ -28,12 +45,16 @@
 #ifndef ECOLO_SERVE_JOURNAL_HH
 #define ECOLO_SERVE_JOURNAL_HH
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "serve/protocol.hh"
+#include "telemetry/stats.hh"
 #include "util/result.hh"
 
 namespace ecolo::serve {
@@ -47,6 +68,19 @@ enum class JournalOutcome : std::uint8_t
     Error = 4,
     DeadlineExceeded = 5,
     Bounced = 6, //!< journaled, then refused admission (backpressure)
+};
+
+/** How a RequestJournal makes its records durable, and what it counts. */
+struct JournalOptions
+{
+    /**
+     * Syncs the journal file's data; fdatasync when empty. Same
+     * contract as fdatasync: 0, or -1 with errno set. A test seam for a
+     * slow, stalled or failing disk.
+     */
+    std::function<int(int fd)> sync;
+    telemetry::Counter *records = nullptr; //!< +1 per record written
+    telemetry::Counter *syncs = nullptr;   //!< +1 per sync issued
 };
 
 class RequestJournal
@@ -63,23 +97,37 @@ class RequestJournal
      * the pending ADMITs, and open for appending. recovered() holds the
      * requests that were admitted but never reached an outcome.
      */
-    static util::Result<RequestJournal> open(const std::string &dir);
+    static util::Result<RequestJournal> open(const std::string &dir,
+                                             JournalOptions options = {});
 
     RequestJournal(RequestJournal &&other) noexcept;
     RequestJournal(const RequestJournal &) = delete;
     RequestJournal &operator=(const RequestJournal &) = delete;
+    /** Closes the file; a close() failure here is only logged. */
     ~RequestJournal();
 
     const std::vector<PendingRequest> &recovered() const
     { return recovered_; }
 
-    /** Durably record an admission; call before answering ACCEPTED. */
+    /**
+     * Record an admission and wait until a sync covers it; call before
+     * answering ACCEPTED.
+     */
     util::Result<void> recordAdmit(std::uint64_t id,
                                    const SubmitPayload &request);
 
-    /** Record a terminal outcome (best-effort durable). */
+    /**
+     * Record a terminal outcome without waiting for a sync; the next
+     * group sync or close() makes it durable.
+     */
     util::Result<void> recordOutcome(std::uint64_t id,
                                      JournalOutcome outcome);
+
+    /**
+     * Sync every record not yet covered and close the file. Later
+     * appends fail; a second close() is a no-op.
+     */
+    util::Result<void> close();
 
     const std::string &path() const { return path_; }
 
@@ -94,12 +142,22 @@ class RequestJournal
   private:
     RequestJournal() = default;
 
-    util::Result<void> append(const std::string &record);
+    /** Write one record; with `durable`, wait until a sync covers it. */
+    util::Result<void> append(const std::string &record, bool durable);
+    /** Lead one sync covering every record written so far. */
+    void syncLocked(std::unique_lock<std::mutex> &lock);
 
     std::string path_;
     int fd_ = -1;
     std::vector<PendingRequest> recovered_;
+    JournalOptions options_;
+
     std::mutex mutex_;
+    std::condition_variable synced_;
+    std::uint64_t written_ = 0; //!< records written (sequence numbers)
+    std::uint64_t durable_ = 0; //!< records covered by a finished sync
+    bool syncing_ = false;      //!< a leader is inside sync
+    std::optional<util::Error> failed_; //!< sticky write/sync failure
 };
 
 } // namespace ecolo::serve

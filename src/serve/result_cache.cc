@@ -5,7 +5,7 @@
 namespace ecolo::serve {
 
 std::uint64_t
-fnv1a64(const std::string &bytes, std::uint64_t seed)
+fnv1a64(std::string_view bytes, std::uint64_t seed)
 {
     std::uint64_t h = seed;
     for (const char c : bytes) {

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/version.hh"
@@ -39,7 +40,7 @@
 namespace ecolo::serve {
 
 /** 64-bit FNV-1a over a byte string (stable across platforms/builds). */
-std::uint64_t fnv1a64(const std::string &bytes,
+std::uint64_t fnv1a64(std::string_view bytes,
                       std::uint64_t seed = 0xcbf29ce484222325ULL);
 
 /** Content hash of one request. */

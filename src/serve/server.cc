@@ -98,7 +98,9 @@ Server::start()
     std::signal(SIGPIPE, SIG_IGN);
 
     if (!options_.journalDir.empty()) {
-        auto journal = RequestJournal::open(options_.journalDir);
+        auto journal = RequestJournal::open(
+            options_.journalDir,
+            {options_.journalSync, &journalRecords_, &journalSyncs_});
         if (!journal)
             return journal.error();
         journal_ = std::make_unique<RequestJournal>(journal.take());
@@ -160,6 +162,14 @@ Server::waitUntilStopped()
                 handler.thread.join();
         }
         handlers_.clear();
+    }
+    // Outcomes do not wait for a sync; make the last ones durable.
+    if (journal_) {
+        if (auto closed = journal_->close(); !closed) {
+            journalAppendFailures_.inc();
+            ecolo::warn("serve: closing the request journal failed: ",
+                        closed.error().message);
+        }
     }
     running_.store(false, std::memory_order_release);
     stopped_ = true;

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -109,11 +110,14 @@ struct ServerOptions
     std::string drainCheckpointDir;
     /**
      * When non-empty, admitted requests are journaled (write-ahead,
-     * fdatasync'd before ACCEPTED) into `<journalDir>/requests.wal`,
-     * and a restarted server replays admitted-but-unfinished requests
-     * so their results land in the cache byte-identically.
+     * group-committed with fdatasync before ACCEPTED) into
+     * `<journalDir>/requests.wal`, and a restarted server replays
+     * admitted-but-unfinished requests so their results land in the
+     * cache byte-identically.
      */
     std::string journalDir;
+    /** Replaces the journal's fdatasync (JournalOptions::sync). */
+    std::function<int(int fd)> journalSync;
 };
 
 class Server
@@ -229,7 +233,6 @@ class Server
     /** Process-wide setup artifact cache, shared by every run. */
     const std::shared_ptr<core::SetupCache> setupCache_ =
         std::make_shared<core::SetupCache>();
-    std::unique_ptr<RequestJournal> journal_;
 
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
@@ -249,6 +252,11 @@ class Server
     telemetry::Gauge &journalPending_ = stats_.gauge("serve.journal.pending");
     telemetry::Counter &journalAppendFailures_ =
         stats_.counter("serve.journal.append_failures");
+    /** Records written and syncs issued; their ratio is the group size. */
+    telemetry::Counter &journalRecords_ =
+        stats_.counter("serve.journal.records");
+    telemetry::Counter &journalSyncs_ =
+        stats_.counter("serve.journal.syncs");
     /** core::SetupCache sums, refreshed by metricsJson(). */
     telemetry::Gauge &setupHits_ = stats_.gauge("serve.setup_cache.hits");
     telemetry::Gauge &setupMisses_ =
@@ -261,6 +269,8 @@ class Server
     telemetry::TailLatency *const latency_[2] = {
         &stats_.tail("serve.latency.interactive", "_us"),
         &stats_.tail("serve.latency.batch", "_us")};
+    /** Declared after stats_: it bumps journalRecords_/journalSyncs_. */
+    std::unique_ptr<RequestJournal> journal_;
 
     std::thread schedulerThread_;
     std::thread acceptThread_;

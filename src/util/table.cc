@@ -1,6 +1,7 @@
 #include "util/table.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 
 #include "util/logging.hh"
@@ -70,9 +71,17 @@ TextTable::printCsv(std::ostream &os) const
 std::string
 fixed(double value, int precision)
 {
-    std::ostringstream oss;
-    oss << std::fixed << std::setprecision(precision) << value;
-    return oss.str();
+    // std::to_chars formats as printf("%.*f") does, which is what the
+    // std::fixed stream manipulator calls, without a stream or locale.
+    // Sign, DBL_MAX's 309 integral digits, point and 200 decimals fit.
+    ECOLO_ASSERT(precision <= 200, "fixed() precision ", precision,
+                 " above 200");
+    char buf[512];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                         std::chars_format::fixed,
+                                         precision);
+    ECOLO_ASSERT(ec == std::errc(), "fixed() buffer too small");
+    return std::string(buf, end);
 }
 
 void

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.hh"
 #include "core/engine.hh"
+#include "core/operator.hh"
 #include "core/version.hh"
 #include "util/state_io.hh"
 
@@ -119,6 +124,121 @@ TEST(Checkpoint, RestoreIntoWrongConfigFails)
     resumed.loadState(reader);
     EXPECT_FALSE(reader.ok());
     EXPECT_EQ(reader.status().error().code, util::ErrorCode::StateError);
+}
+
+/** The state bytes of a default myopic run stopped after `minutes`. */
+std::string
+savedStateAfter(MinuteIndex minutes)
+{
+    const auto config = smallConfig();
+    Simulation sim(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+    sim.run(minutes);
+    std::stringstream checkpoint;
+    util::StateWriter writer(checkpoint);
+    writer.header();
+    sim.saveState(writer);
+    return checkpoint.str();
+}
+
+/** Offset of the one "OPER" section tag in `bytes`. */
+std::size_t
+operatorSection(const std::string &bytes)
+{
+    const std::size_t at = bytes.find("OPER");
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(bytes.rfind("OPER"), at) << "ambiguous OPER tag";
+    return at;
+}
+
+/** Load `bytes` into a fresh default simulation; the reader's status. */
+util::Result<void>
+loadInto(const std::string &bytes)
+{
+    const auto config = smallConfig();
+    Simulation sim(config, makeMyopicPolicy(config, Kilowatts(7.4)));
+    std::stringstream state(bytes);
+    util::StateReader reader(state);
+    reader.header();
+    sim.loadState(reader);
+    return reader.status();
+}
+
+TEST(Checkpoint, ForgedEmergencyCountFailsFast)
+{
+    // OPER: tag, u32 state, i64 sustain/capping/restart, then the u64
+    // emergency count. A count the engine never saw used to be caught
+    // up one declaration per loop turn: 2^62 turns, a hang.
+    std::string bytes = savedStateAfter(200);
+    const std::size_t count_at = operatorSection(bytes) + 4 + 4 + 3 * 8;
+    const std::uint64_t forged = std::uint64_t{1} << 62;
+    std::memcpy(&bytes[count_at], &forged, sizeof(forged));
+
+    const auto start = std::chrono::steady_clock::now();
+    const util::Result<void> loaded = loadInto(bytes);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, util::ErrorCode::StateError);
+    EXPECT_LT(seconds, 1.0);
+}
+
+TEST(Checkpoint, OutOfRangeOperatorStateRejected)
+{
+    const std::string bytes = savedStateAfter(200);
+    const std::size_t oper = operatorSection(bytes);
+    struct Patch
+    {
+        std::size_t offset;
+        std::uint64_t value;
+        std::size_t width;
+    };
+    const std::int64_t negative = -5;
+    std::uint64_t negative_bits;
+    std::memcpy(&negative_bits, &negative, sizeof(negative));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::uint64_t nan_bits;
+    std::memcpy(&nan_bits, &nan, sizeof(nan));
+    // Offsets after the tag: state u32 @4, sustain @8, capping left @16,
+    // restart left @24, counts @32/@40, cap level @48, minutes @56..80,
+    // last good inlet @88.
+    const Patch patches[] = {
+        {oper + 4, 7, 4},             // no such OperatorState
+        {oper + 8, negative_bits, 8}, // sustain counter
+        {oper + 16, negative_bits, 8}, // capping countdown below -1
+        {oper + 56, negative_bits, 8}, // emergency minutes
+        {oper + 48, nan_bits, 8},      // cap level
+        {oper + 88, nan_bits, 8},      // last good inlet
+    };
+    for (const Patch &patch : patches) {
+        std::string forged = bytes;
+        std::memcpy(&forged[patch.offset], &patch.value, patch.width);
+        const util::Result<void> loaded = loadInto(forged);
+        ASSERT_FALSE(loaded.ok()) << "offset " << patch.offset - oper;
+        EXPECT_EQ(loaded.error().code, util::ErrorCode::StateError);
+    }
+    EXPECT_TRUE(loadInto(bytes).ok());
+}
+
+TEST(Checkpoint, OneMinuteCappingCountdownRoundTrips)
+{
+    // With a one-minute capping window the countdown rests at -1 after
+    // the emergency ends; that state is valid and must load.
+    ColoOperator::Params params{Celsius(32.0), 1, 1, Celsius(45.0), 60};
+    ColoOperator op(params);
+    op.observeMinute(Celsius(33.0)); // declared
+    op.observeMinute(Celsius(28.0)); // window over
+    ASSERT_EQ(op.emergenciesDeclared(), 1u);
+    ASSERT_EQ(op.state(), OperatorState::Normal);
+    std::stringstream checkpoint;
+    util::StateWriter writer(checkpoint);
+    op.saveState(writer);
+
+    ColoOperator restored(params);
+    util::StateReader reader(checkpoint);
+    restored.loadState(reader);
+    ASSERT_TRUE(reader.ok()) << reader.status().error().describe();
+    EXPECT_EQ(restored.emergenciesDeclared(), 1u);
 }
 
 class SimCheckpointFileTest : public ::testing::Test

@@ -653,6 +653,8 @@ serveMetricKeys()
         "serve.journal.replayed",
         "serve.journal.pending",
         "serve.journal.append_failures",
+        "serve.journal.records",
+        "serve.journal.syncs",
     };
     for (const char *lane : {"interactive", "batch", "interactive.queue_wait",
                              "batch.queue_wait"}) {

@@ -11,7 +11,7 @@
  *                       chosen port is printed either way)
  *   --workers LIST      comma-separated host:port worker endpoints
  *                       (required; IPv6 literals as [addr]:port)
- *   --forwarders N      concurrent worker RPCs (default 4)
+ *   --forwarders N      concurrent worker RPCs (default 4 per worker)
  *   --max-connections N client connection cap (default 128)
  *   --idle-timeout-ms N reap idle keep-alive clients (default 30000)
  *   --max-body-bytes N  request body cap (default 1 MiB)
